@@ -26,6 +26,7 @@ SeedSequence(seed, spawn_key=(c, s)). Streams are a pure function of
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -98,24 +99,39 @@ def _int_field(obj: dict, field: str, path: str, minimum: int = 1, default=None)
     return value
 
 
+def _number(obj: dict, field: str, path: str) -> float:
+    """The field as a finite float.
+
+    json.loads turns NaN, Infinity, -Infinity and literals like 1e999 into
+    non-finite floats, and keeps integers too large for any float; all of
+    them are rejected here by field name.
+    """
+    value = _require(obj, field, path)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioValidationError(f"{path}{field}", f"must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioValidationError(f"{path}{field}", f"must be finite, got {json.dumps(number)}")
+    return number
+
+
 def _pos_number(obj: dict, field: str, path: str, default=None) -> float:
     if field not in obj and default is not None:
         return default
-    value = _require(obj, field, path)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioValidationError(f"{path}{field}", f"must be a number, got {value!r}")
-    if not value > 0:
-        raise ScenarioValidationError(f"{path}{field}", f"must be > 0, got {value}")
-    return float(value)
+    number = _number(obj, field, path)
+    if not number > 0:
+        raise ScenarioValidationError(f"{path}{field}", f"must be > 0, got {obj[field]}")
+    return number
 
 
 def _nonneg_number(obj: dict, field: str, path: str) -> float:
-    value = _require(obj, field, path)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioValidationError(f"{path}{field}", f"must be a number, got {value!r}")
-    if value < 0:
-        raise ScenarioValidationError(f"{path}{field}", f"must be >= 0, got {value}")
-    return float(value)
+    number = _number(obj, field, path)
+    if number < 0:
+        raise ScenarioValidationError(f"{path}{field}", f"must be >= 0, got {obj[field]}")
+    return number
 
 
 def _topology(obj) -> TopologySpec:

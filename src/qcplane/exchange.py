@@ -5,15 +5,16 @@ Two conversions exist, both paid for from a stock of pre-shared entangled
 pairs (ebits): teleporting a qubit consumes 1 ebit and adds 2 classical
 bits, dense-coding 2 classical bits consumes 1 ebit and adds 1 qubit.
 `balance_link` picks the integer conversion count that minimizes the worse
-of the two plane utilizations, scanning the whole feasible range, so a
-plain brute-force scan reproduces it exactly.
+of the two plane utilizations. In each direction that score is the maximum
+of one falling and one rising utilization, so the optimum sits where the
+two cross; integer bisection finds it in O(log stock) steps, scoring each
+count with the same float arithmetic as a brute-force scan over every
+feasible count, so such a scan reproduces the plan exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
-
-import numpy as np
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 
 class InfeasibleError(RuntimeError):
@@ -59,18 +60,17 @@ class ConversionEvent:
     ebits_remaining: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ResourceLedger:
     """Per-link ebit stock and per-round plane capacities.
 
-    Ebits are only consumed, never replenished here; every debit appends a
-    ConversionEvent to `events`.
+    Immutable: applying a plan returns a debited copy, so a ledger held in a
+    scenario always states the stock as given.
     """
 
     ebits: int
     classical_capacity: int
     quantum_capacity: int
-    events: list[ConversionEvent] = field(default_factory=list)
 
     def __post_init__(self):
         if self.ebits < 0:
@@ -78,21 +78,20 @@ class ResourceLedger:
         if self.classical_capacity <= 0 or self.quantum_capacity <= 0:
             raise ValueError("capacities must be > 0")
 
-    def apply(self, plan: "TransferPlan") -> ConversionEvent:
-        """Debit the plan's ebits and log the conversion."""
+    def apply(self, plan: "TransferPlan") -> tuple["ResourceLedger", ConversionEvent]:
+        """The ledger left after the plan's ebits are debited, and the conversion."""
         if plan.ebits_consumed > self.ebits:
             raise ValueError(
                 f"plan needs {plan.ebits_consumed} ebits, ledger holds {self.ebits}"
             )
-        self.ebits -= plan.ebits_consumed
+        debited = replace(self, ebits=self.ebits - plan.ebits_consumed)
         event = ConversionEvent(
             qubits_teleported=plan.qubits_teleported,
             cbits_densecoded=plan.cbits_densecoded,
             ebits_consumed=plan.ebits_consumed,
-            ebits_remaining=self.ebits,
+            ebits_remaining=debited.ebits,
         )
-        self.events.append(event)
-        return event
+        return debited, event
 
 
 @dataclass(frozen=True)
@@ -147,46 +146,89 @@ def _plan(load: LinkLoad, ledger: ResourceLedger, x: int, y: int) -> TransferPla
     )
 
 
+def _ratio(numerator: int, denominator: int) -> float:
+    """One utilization as a scan over int64 arrays computes it (float64 / float64)."""
+    return float(numerator) / float(denominator)
+
+
+def _first(lo: int, hi: int, holds: Callable[[int], bool]) -> int:
+    """Smallest n in [lo, hi) where `holds` turns true, or hi; `holds` is monotone."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _min_max(
+    lo: int, hi: int, falling: Callable[[int], float], rising: Callable[[int], float]
+) -> tuple[float, int]:
+    """(score, first n) minimizing max(falling(n), rising(n)) over [lo, hi].
+
+    Left of the first count n0 where rising catches up, the score is
+    falling, least at n0 - 1; from n0 on it is rising, least at n0. Float
+    division leaves runs of equal utilization at large values, so the left
+    candidate is the first count of the run that falling(n0 - 1) ends, as a
+    scan's argmin would pick it.
+    """
+    n0 = _first(lo, hi + 1, lambda n: rising(n) >= falling(n))
+    best = None
+    if n0 > lo:
+        score = falling(n0 - 1)
+        best = (score, _first(lo, n0 - 1, lambda n: falling(n) <= score))
+    if n0 <= hi and (best is None or rising(n0) < best[0]):
+        best = (rising(n0), n0)
+    return best
+
+
 def balance_link(load: LinkLoad, ledger: ResourceLedger) -> TransferPlan:
     """Min-max-utilization conversion plan for one link.
 
     Teleporting x qubits maps the load to (cbits + 2x, qubits - x); dense
     coding 2y classical bits maps it to (cbits - 2y, qubits + y). A plan
     converts in one direction only (x*y = 0) and is bounded by the load and
-    the ledger's ebits. All feasible plans are scored and the lowest
-    max(classical, quantum) utilization wins; ties fall to the plan with
-    fewer ebits consumed, then to teleportation, then to the smaller count.
+    the ledger's ebits. The lowest max(classical, quantum) utilization wins;
+    ties fall to the plan with fewer ebits consumed, then to teleportation,
+    then to the smaller count. In each direction the score is one falling
+    and one rising utilization, so bisection over the counts finds the
+    optimum in O(log ebits) time and constant memory, with the same result
+    as scoring every feasible count.
 
     Raises InfeasibleError when the winning plan still overflows both
     planes at once (conversion cannot help; queuing is the caller's call).
     An empty ledger is not an error: the zero-conversion plan is returned.
     """
-    x_max = min(load.qubits, ledger.ebits)
-    y_max = min(load.cbits // 2, ledger.ebits)
+    c, q = load.cbits, load.qubits
+    cap_c, cap_q = ledger.classical_capacity, ledger.quantum_capacity
+    x_max = min(q, ledger.ebits)
+    y_max = min(c // 2, ledger.ebits)
 
-    xs = np.arange(x_max + 1)
-    x_util = np.maximum(
-        (load.cbits + 2 * xs) / ledger.classical_capacity,
-        (load.qubits - xs) / ledger.quantum_capacity,
+    x_score, x = _min_max(
+        0, x_max, lambda n: _ratio(q - n, cap_q), lambda n: _ratio(c + 2 * n, cap_c)
     )
-    ys = np.arange(1, y_max + 1)
-    y_util = np.maximum(
-        (load.cbits - 2 * ys) / ledger.classical_capacity,
-        (load.qubits + ys) / ledger.quantum_capacity,
-    )
-
-    best_x = int(np.argmin(x_util))  # argmin takes the first, so smaller x on ties
-    x, y = best_x, 0
-    if ys.size:
-        best_y = int(np.argmin(y_util))
-        if y_util[best_y] < x_util[best_x] or (
-            y_util[best_y] == x_util[best_x] and ys[best_y] < best_x
-        ):
-            x, y = 0, int(ys[best_y])
+    y = 0
+    if y_max >= 1:
+        y_score, best_y = _min_max(
+            1, y_max, lambda n: _ratio(c - 2 * n, cap_c), lambda n: _ratio(q + n, cap_q)
+        )
+        # Dense coding can only tie when teleporting gains nothing (x = 0:
+        # it raises the quantum load a useful teleport would lower), and
+        # then the zero plan wins on ebits, so only a strictly lower score
+        # switches direction.
+        if y_score < x_score:
+            x, y = 0, best_y
 
     plan = _plan(load, ledger, x, y)
-    over_classical = plan.resulting_load.cbits > ledger.classical_capacity
-    over_quantum = plan.resulting_load.qubits > ledger.quantum_capacity
+    over_classical = plan.resulting_load.cbits > cap_c
+    over_quantum = plan.resulting_load.qubits > cap_q
     if over_classical and over_quantum:
-        raise InfeasibleError("load exceeds both plane capacities after balancing", plan)
+        raise InfeasibleError(
+            f"load exceeds both plane capacities after balancing: demand {c} cbits "
+            f"and {q} qubits, capacities {cap_c} cbits and {cap_q} qubits, "
+            f"{ledger.ebits} ebits in stock; the best plan leaves "
+            f"{plan.resulting_load.cbits} cbits and {plan.resulting_load.qubits} qubits",
+            plan,
+        )
     return plan

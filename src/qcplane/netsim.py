@@ -17,6 +17,7 @@ comes from the load alone, not from technology constants.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from .scaling import (
@@ -53,8 +54,8 @@ class LinkSpec:
             "per_message_processing",
         ):
             value = getattr(self, name)
-            if not value > 0:
-                raise ValueError(f"{name} must be > 0, got {value!r}")
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     def rate(self, unit: Unit) -> float:
         return self.capacity if unit is Unit.BITS else self.q_capacity
@@ -92,8 +93,9 @@ class EnergyModel:
             "instructions_per_bit_processed",
             "bandwidth_scaling",
         ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,11 @@
 Deterministic report serialization.
 
 CSV cells: integers verbatim, reals with 12 significant digits, "." as the
-decimal separator regardless of locale. Files are written to a temporary
-name in the target directory and renamed into place, so readers never see
-a half-written report and a failed run leaves nothing behind.
+decimal separator regardless of locale. JSON is standard (RFC 8259): an
+infinite value is written as the string "inf" or "-inf", like its CSV
+cell, and NaN is refused. Files are written to a temporary name in the
+target directory and renamed into place, so readers never see a
+half-written report and a failed run leaves nothing behind.
 """
 from __future__ import annotations
 
@@ -34,8 +36,20 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _standard(obj):
+    """Infinite floats as their CSV cell ("inf"), since RFC 8259 JSON has none."""
+    if isinstance(obj, float) and math.isinf(obj):
+        return format_cell(obj)
+    if isinstance(obj, dict):
+        return {key: _standard(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_standard(value) for value in obj]
+    return obj
+
+
 def json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Standard JSON only: infinities become "inf" strings, NaN is refused."""
+    return json.dumps(_standard(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_atomic(path: str | Path, text: str) -> None:

@@ -82,7 +82,8 @@ def run_balancing(cfg: ScenarioConfig) -> list[BalanceOutcome]:
 
     Demand per link is the classical bit load and the quantum qubit load
     that one round places on it, independent of the scenario's reporting
-    mode (a balanced link carries both planes).
+    mode (a balanced link carries both planes). The scenario's ledgers are
+    left as given; each outcome's event records the stock after its plan.
     """
     classical = classical_loads(cfg.topology)
     quantum = quantum_loads(cfg.topology)
@@ -96,7 +97,7 @@ def run_balancing(cfg: ScenarioConfig) -> list[BalanceOutcome]:
             continue
         ledger = cfg.ledgers[link]
         plan = balance_link(demands[link], ledger)
-        event = ledger.apply(plan)
+        _, event = ledger.apply(plan)
         outcomes.append(BalanceOutcome(link, demands[link], plan, event))
     return outcomes
 

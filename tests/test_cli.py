@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qcplane.cli import main
 from qcplane.scaling import TopologySpec, scaling_table
@@ -281,3 +283,80 @@ def test_output_flag_writes_file_atomically(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text().startswith("sweep_param,")
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestStandardJson:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scale", "--sweep", "K", "--values", "1", "--n", "1", "--k", "1", "--p", "1"],
+            ["scale", "--sweep", "P", "--values", "1,2,2000", "--n", "3", "--k", "5"],
+            ["simulate", "--config", str(PAPER_EXAMPLE)],
+            ["simulate", "--config", str(DESK_EXAMPLE)],
+            ["balance", "--cbits", "0", "--qubits", "10", "--ebits", "10",
+             "--classical-capacity", "100", "--quantum-capacity", "5"],
+            ["selftest"],
+        ],
+        ids=lambda argv: "-".join(argv[:3]),
+    )
+    def test_json_outputs_parse_strictly(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code == 0
+        _strict_json(out)
+
+    def test_vector_outputs_parse_strictly(self, tmp_path, capsys):
+        vec, vecs = tmp_path / "v.json", tmp_path / "s.json"
+        vec.write_text("[1, 2, 3]")
+        vecs.write_text("[[1, 2], [3, 4]]")
+        for argv in (["encode", "--input", str(vec)], ["join", "--input", str(vecs)]):
+            code, out, _ = run_cli(capsys, *argv, "--format", "json")
+            assert code == 0
+            _strict_json(out)
+
+    def test_zero_quantum_ingest_ratio_is_the_inf_cell(self, capsys):
+        argv = ["scale", "--sweep", "K", "--values", "1", "--n", "1", "--k", "1", "--p", "1"]
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+        _, csv_out, _ = run_cli(capsys, *argv)
+        assert _strict_json(out)[0]["ratio"] == "inf"
+        assert csv_out.splitlines()[1].split(",")[-1] == "inf"
+
+    @pytest.mark.parametrize("path", [PAPER_EXAMPLE, DESK_EXAMPLE], ids=lambda p: p.stem)
+    def test_report_json_parses_strictly(self, tmp_path, capsys, path):
+        assert run_cli(capsys, "run", str(path), "--output", str(tmp_path))[0] == 0
+        _strict_json((tmp_path / "report.json").read_text())
+
+
+NUMBER_FIELDS = [
+    ("links", "leaf", "capacity"),
+    ("links", "leaf", "q_capacity"),
+    ("links", "mid", "length"),
+    ("links", "mid", "per_message_processing"),
+    ("energy", "per_bit_tx"),
+    ("energy", "instructions_per_bit_processed"),
+]
+
+
+@given(field=st.sampled_from(NUMBER_FIELDS), token=st.sampled_from(["NaN", "Infinity", "-Infinity"]),
+       command=st.sampled_from(["simulate", "run"]))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_non_finite_scenario_values_exit_3(tmp_path, capsys, field, token, command):
+    data = json.loads(DESK_EXAMPLE.read_text())
+    obj = data
+    for key in field[:-1]:
+        obj = obj[key]
+    obj[field[-1]] = "__TOKEN__"
+    bad = tmp_path / "nonfinite.json"
+    bad.write_text(json.dumps(data).replace('"__TOKEN__"', token))
+    outdir = tmp_path / f"rep-{token}"
+    argv = ["simulate", "--config", str(bad)] if command == "simulate" else ["run", str(bad)]
+    code, out, err = run_cli(capsys, *argv, "--output", str(outdir))
+    assert code == 3
+    assert ".".join(field) in err and token in err
+    assert not outdir.exists()

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +78,35 @@ class TestValidation:
         with pytest.raises(ScenarioValidationError) as exc_info:
             scenario_from_dict(data)
         assert exc_info.value.field == field
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "section,field",
+        [("links.leaf", "capacity"), ("links.mid", "q_capacity"), ("energy", "per_bit_tx"),
+         ("energy", "bandwidth_scaling")],
+    )
+    def test_non_finite_numbers_rejected(self, section, field, value):
+        data = minimal_scenario()
+        obj = data
+        for key in section.split("."):
+            obj = obj[key]
+        obj[field] = value
+        with pytest.raises(ScenarioValidationError) as exc_info:
+            scenario_from_dict(data)
+        assert exc_info.value.field == f"{section}.{field}"
+        assert json.dumps(value) in str(exc_info.value)
+
+    @pytest.mark.parametrize(
+        "token", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400], ids=lambda t: t[:9]
+    )
+    def test_non_finite_tokens_in_a_file_rejected(self, tmp_path, token):
+        text = json.dumps(minimal_scenario()).replace('"per_instruction": 1e-10', f'"per_instruction": {token}')
+        assert f'"per_instruction": {token}' in text
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(ScenarioValidationError) as exc_info:
+            load_scenario(bad)
+        assert exc_info.value.field == "energy.per_instruction"
 
     def test_ledger_validation(self):
         data = minimal_scenario()

@@ -208,3 +208,15 @@ def test_link_spec_rejects_nonpositive_fields():
 def test_energy_model_rejects_negative_fields():
     with pytest.raises(ValueError):
         make_energy(per_bit_tx=-1e-9)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_specs_reject_non_finite_fields(value):
+    with pytest.raises(ValueError):
+        make_link(capacity=value)
+    with pytest.raises(ValueError):
+        make_link(length=value)
+    with pytest.raises(ValueError):
+        make_energy(per_bit_tx=value)
+    with pytest.raises(ValueError):
+        make_energy(bandwidth_scaling=value)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -33,6 +34,20 @@ def test_csv_text_layout():
 
 def test_json_text_is_sorted_and_stable():
     assert json_text({"b": 1, "a": 2}) == '{\n  "a": 2,\n  "b": 1\n}\n'
+
+
+def test_json_text_writes_infinities_as_their_csv_cell():
+    text = json_text({"ratio": math.inf, "rows": [(-math.inf, 1.5)]})
+    assert json.loads(text, parse_constant=_reject) == {"ratio": "inf", "rows": [["-inf", 1.5]]}
+
+
+def test_json_text_refuses_nan():
+    with pytest.raises(ValueError):
+        json_text({"energy_joules": math.nan})
+
+
+def _reject(token):
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 class TestWriteAtomic:
