@@ -2,10 +2,12 @@
 Command-line front end.
 
 Subcommands: encode, join, scale, simulate, balance, selftest, run. Every
-subcommand accepts --seed, --output and --format csv|json; outputs are
-deterministic for fixed inputs and seed. Exit codes: 0 success, 2 parse
-error, 3 validation error (diagnostic names the first invalid field),
-4 I/O error, 5 infeasible balance.
+subcommand accepts --output; all but `run`, which writes every report
+file, accept --format csv|json, and only `run` takes --seed, which it
+records in report.json in place of the scenario's seed. Outputs are
+deterministic for fixed inputs. Exit codes: 0 success, 2 parse error,
+3 validation error (diagnostic names the first invalid field or vector
+entry), 4 I/O error, 5 infeasible balance.
 
 When QCPLANE_OUTPUT_DIR is set, relative --output paths resolve under it
 and it becomes the default report directory for `run`.
@@ -14,21 +16,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import runner
-from .config import (
-    ScenarioConfig,
-    ScenarioParseError,
-    ScenarioValidationError,
-    load_scenario,
-)
+from .config import ScenarioParseError, ScenarioValidationError, load_scenario
 from .exchange import InfeasibleError, LinkLoad, ResourceLedger, balance_link
 from .netsim import simulate_collection
 from .qram import JoinedState, WeightMode, join_from_raw, qram_join
-from .reporting import csv_text, json_text, write_atomic
+from .reporting import csv_text, json_text, table_csv, write_atomic
 from .scaling import TopologySpec, scaling_table
 from .statevector import QuantumState, amplitude_encode
 
@@ -40,79 +39,61 @@ EXIT_INFEASIBLE = 5
 
 STATE_HEADER = ("index", "amplitude_real", "amplitude_imag", "probability")
 JOIN_HEADER = ("index", "address", "data_index", "amplitude_real", "amplitude_imag", "probability")
-SIMULATE_HEADER = (
-    "mode",
-    "leaf_propagation", "leaf_transmission", "leaf_queuing", "leaf_processing", "leaf_total",
-    "mid_propagation", "mid_transmission", "mid_queuing", "mid_processing", "mid_total",
-    "end_to_end", "energy_joules",
-    "leaf_link_load", "controller_ingest", "mid_link_load",
-    "hypervisor_ingest", "hypervisor_state_size", "unit",
-)
-BALANCE_CLI_HEADER = (
-    "qubits_teleported", "cbits_densecoded", "ebits_consumed",
-    "resulting_cbits", "resulting_qubits",
-    "utilization_classical", "utilization_quantum",
-)
 
 
 class InputParseError(ValueError):
     """A vector input file could not be parsed."""
 
 
-def read_vector(path: Path) -> list[float]:
-    """One vector: a JSON array or one numeric value per line."""
+def _entry(where: str, value) -> float:
+    """One vector entry as a finite float; `where` names its file and place."""
+    if isinstance(value, str):
+        try:
+            number = float(value)
+        except ValueError:
+            raise InputParseError(f"{where}: not a number: {value!r}") from None
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputParseError(f"{where}: not a number: {value!r}")
+    else:
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+    if not math.isfinite(number):
+        shown = value if isinstance(value, str) else json.dumps(number)
+        raise ValueError(f"{where}: vector entries must be finite, got {shown}")
+    return number
+
+
+def read_vectors(path: Path, many: bool) -> list[list[float]]:
+    """The vectors in a file.
+
+    One vector is a JSON array of numbers or one number per line; with
+    `many`, the file is a JSON array of arrays or one whitespace-separated
+    vector per line. Entries that are not numbers are a parse error;
+    NaN, infinities and literals that overflow (1e999) are refused too,
+    naming the file, the line or JSON index, and the value.
+    """
     text = path.read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("["):
+    if text.lstrip().startswith("["):
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InputParseError(f"{path}: {exc}") from exc
-        if not isinstance(data, list) or any(
-            isinstance(v, bool) or not isinstance(v, (int, float)) for v in data
-        ):
-            raise InputParseError(f"{path}: expected a JSON array of numbers")
-        return [float(v) for v in data]
-    values = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            values.append(float(line))
-        except ValueError as exc:
-            raise InputParseError(f"{path}:{lineno}: not a number: {line!r}") from exc
-    return values
-
-
-def read_vector_set(path: Path) -> list[list[float]]:
-    """Many vectors: a JSON array of arrays, or one whitespace-separated
-    vector per line."""
-    text = path.read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("["):
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputParseError(f"{path}: {exc}") from exc
-        if not isinstance(data, list) or not all(isinstance(v, list) for v in data):
+        if not many:
+            return [[_entry(f"{path}[{j}]", v) for j, v in enumerate(data)]]
+        if not all(isinstance(row, list) for row in data):
             raise InputParseError(f"{path}: expected a JSON array of arrays")
-        out = []
-        for row in data:
-            if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in row):
-                raise InputParseError(f"{path}: vector entries must be numbers")
-            out.append([float(v) for v in row])
-        return out
-    vectors = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            vectors.append([float(tok) for tok in line.split()])
-        except ValueError as exc:
-            raise InputParseError(f"{path}:{lineno}: not a numeric row: {line!r}") from exc
-    return vectors
+        return [
+            [_entry(f"{path}[{i}][{j}]", v) for j, v in enumerate(row)]
+            for i, row in enumerate(data)
+        ]
+    rows = [
+        [_entry(f"{path}:{lineno}", tok) for tok in (line.split() if many else [line.strip()])]
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if line.strip()
+    ]
+    return rows if many else [[value for row in rows for value in row]]
 
 
 def resolve_output(path_str: str | None) -> Path | None:
@@ -149,7 +130,7 @@ def state_json(state: QuantumState) -> dict:
 
 
 def cmd_encode(args) -> int:
-    state = amplitude_encode(read_vector(Path(args.input)))
+    state = amplitude_encode(read_vectors(Path(args.input), many=False)[0])
     if args.format == "json":
         text = json_text(state_json(state))
     else:
@@ -167,7 +148,7 @@ def _joined_rows(joined: JoinedState) -> list[tuple]:
 
 
 def cmd_join(args) -> int:
-    vectors = read_vector_set(Path(args.input))
+    vectors = read_vectors(Path(args.input), many=True)
     if args.weight_mode == "uniform":
         states = [amplitude_encode(v) for v in vectors]
         joined = qram_join(states, mode=WeightMode.UNIFORM)
@@ -218,68 +199,34 @@ def cmd_scale(args) -> int:
         bits_per_param=args.b,
         shots=args.r,
     )
-    rows = scaling_table(base, args.sweep, _sweep_values(args))
-    if args.format == "json":
-        text = json_text(
-            [
-                {
-                    "sweep_param": r.sweep_param,
-                    "sweep_value": r.sweep_value,
-                    "classical_bits": r.classical_bits,
-                    "quantum_qubits": r.quantum_qubits,
-                    "ratio": r.ratio,
-                }
-                for r in rows
-            ]
-        )
-    else:
-        text = csv_text(
-            runner.SWEEP_HEADER,
-            [(r.sweep_param, r.sweep_value, r.classical_bits, r.quantum_qubits, r.ratio) for r in rows],
-        )
+    records = [vars(row) for row in scaling_table(base, args.sweep, _sweep_values(args))]
+    text = json_text(records) if args.format == "json" else table_csv(records)
     emit(text, resolve_output(args.output))
     return EXIT_OK
 
 
-def _load_config(args) -> ScenarioConfig:
-    cfg = load_scenario(args.config)
-    if args.seed is not None:
-        cfg = ScenarioConfig(
-            topology=cfg.topology,
-            links=cfg.links,
-            energy=cfg.energy,
-            ledgers=cfg.ledgers,
-            sweep=cfg.sweep,
-            seed=args.seed,
-            mode=cfg.mode,
-        )
-    return cfg
+def _simulate_row(mode: str, record: dict) -> dict:
+    """A round's report.json record as one flat `simulate` row."""
+    record = dict(record)
+    latency, loads = record.pop("latency"), record.pop("loads")
+    return {
+        "mode": mode,
+        **{f"{tier}_{name}": value for tier, b in latency.items() for name, value in b.items()},
+        **record,
+        **loads,
+    }
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    mode = args.mode or cfg.mode
-    results = [
-        simulate_collection(cfg.topology, cfg.links, cfg.energy, m)
-        for m in runner.modes_for(mode)
-    ]
+    cfg = load_scenario(args.config)
+    records = {
+        m: runner.result_record(simulate_collection(cfg.topology, cfg.links, cfg.energy, m))
+        for m in runner.modes_for(args.mode or cfg.mode)
+    }
     if args.format == "json":
-        text = json_text({r.mode: runner.result_json(r) for r in results})
+        text = json_text(records)
     else:
-        rows = []
-        for r in results:
-            leaf, mid = r.tier_latency["leaf"], r.tier_latency["mid"]
-            rows.append(
-                (
-                    r.mode,
-                    leaf.propagation, leaf.transmission, leaf.queuing, leaf.processing, leaf.total,
-                    mid.propagation, mid.transmission, mid.queuing, mid.processing, mid.total,
-                    r.end_to_end, r.energy,
-                    r.loads.leaf_link_load, r.loads.controller_ingest, r.loads.mid_link_load,
-                    r.loads.hypervisor_ingest, r.loads.hypervisor_state_size, r.loads.unit.value,
-                )
-            )
-        text = csv_text(SIMULATE_HEADER, rows)
+        text = table_csv([_simulate_row(mode, record) for mode, record in records.items()])
     emit(text, resolve_output(args.output))
     return EXIT_OK
 
@@ -291,38 +238,22 @@ def cmd_balance(args) -> int:
         classical_capacity=args.classical_capacity,
         quantum_capacity=args.quantum_capacity,
     )
-    plan = balance_link(load, ledger)
-    row = (
-        plan.qubits_teleported,
-        plan.cbits_densecoded,
-        plan.ebits_consumed,
-        plan.resulting_load.cbits,
-        plan.resulting_load.qubits,
-        plan.utilization[0],
-        plan.utilization[1],
-    )
-    if args.format == "json":
-        text = json_text(dict(zip(BALANCE_CLI_HEADER, row)))
-    else:
-        text = csv_text(BALANCE_CLI_HEADER, [row])
+    record = runner.plan_record(balance_link(load, ledger))
+    text = json_text(record) if args.format == "json" else table_csv([record])
     emit(text, resolve_output(args.output))
     return EXIT_OK
 
 
 def cmd_selftest(args) -> int:
     checks = runner.selftest_checks()
+    records = [
+        {"check": c.name, "status": "PASS" if c.passed else "FAIL", "detail": c.detail}
+        for c in checks
+    ]
     if args.format == "json":
-        text = json_text(
-            [
-                {"check": c.name, "status": "PASS" if c.passed else "FAIL", "detail": c.detail}
-                for c in checks
-            ]
-        )
+        text = json_text(records)
     elif args.format == "csv":
-        text = csv_text(
-            ("check", "status", "detail"),
-            [(c.name, "PASS" if c.passed else "FAIL", c.detail) for c in checks],
-        )
+        text = table_csv(records)
     else:
         text = runner.selftest_text(checks)
     emit(text, resolve_output(args.output))
@@ -330,7 +261,9 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args)
+    cfg = load_scenario(args.config)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
     outdir = resolve_output(args.output)
     if outdir is None:
         outdir = Path(os.environ.get("QCPLANE_OUTPUT_DIR", "reports"))
@@ -341,7 +274,6 @@ def cmd_run(args) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, default_format: str | None = "csv"):
-    parser.add_argument("--seed", type=int, default=None, help="master seed (recorded in reports)")
     parser.add_argument("--output", default=None, help="output path (default: stdout)")
     parser.add_argument(
         "--format",
@@ -410,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a full scenario and write report files")
     p.add_argument("config", help="scenario JSON file")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=None, help="seed recorded in the reports")
+    p.add_argument("--output", default=None, help="report directory (default: reports)")
     p.set_defaults(handler=cmd_run)
 
     return parser

@@ -270,50 +270,31 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     )
 
 
+def _plain(obj) -> dict:
+    """A dataclass or dict as a JSON object: nested ones likewise, tuples as
+    lists. Shallow vars() rather than dataclasses.asdict, which deep-copies
+    every leaf and costs ten times as much here."""
+    data = {}
+    for key, value in (obj if isinstance(obj, dict) else vars(obj)).items():
+        if isinstance(value, tuple):
+            value = list(value)
+        elif value is not None and not isinstance(value, (int, float, str)):
+            value = _plain(value)
+        data[key] = value
+    return data
+
+
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    """Inverse of scenario_from_dict: the result re-validates identically."""
-    t, L, e = cfg.topology, cfg.links, cfg.energy
-    data = {
-        "topology": {
-            "num_controllers": t.num_controllers,
-            "switches_per_controller": t.switches_per_controller,
-            "params_per_switch": t.params_per_switch,
-            "bits_per_param": t.bits_per_param,
-            "shots": t.shots,
-        },
-        "links": {
-            tier: {
-                "capacity": link.capacity,
-                "q_capacity": link.q_capacity,
-                "length": link.length,
-                "propagation_speed": link.propagation_speed,
-                "per_message_processing": link.per_message_processing,
-            }
-            for tier, link in (("leaf", L.leaf), ("mid", L.mid))
-        },
-        "energy": {
-            "per_bit_tx": e.per_bit_tx,
-            "per_instruction": e.per_instruction,
-            "instructions_per_bit_processed": e.instructions_per_bit_processed,
-            "bandwidth_scaling": e.bandwidth_scaling,
-        },
-        "seed": cfg.seed,
-        "mode": cfg.mode,
-    }
-    if cfg.ledgers:
-        data["ledgers"] = {
-            link: {
-                "ebits": ledger.ebits,
-                "classical_capacity": ledger.classical_capacity,
-                "quantum_capacity": ledger.quantum_capacity,
-            }
-            for link, ledger in cfg.ledgers.items()
-        }
-    if cfg.sweep is not None:
-        data["sweep"] = {
-            "parameter": cfg.sweep.parameter,
-            "values": list(cfg.sweep.values),
-        }
+    """Inverse of scenario_from_dict: the result re-validates identically.
+
+    Every field of the scenario's dataclasses, by name; `ledgers` and
+    `sweep` are left out when the scenario has none.
+    """
+    data = _plain(cfg)
+    if not cfg.ledgers:
+        del data["ledgers"]
+    if cfg.sweep is None:
+        del data["sweep"]
     return data
 
 

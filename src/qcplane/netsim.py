@@ -18,7 +18,7 @@ comes from the load alone, not from technology constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .scaling import (
     LoadReport,
@@ -106,13 +106,16 @@ class TierLinks:
 
 @dataclass(frozen=True)
 class CollectionResult:
-    """Round outcome: loads, the slowest message per tier, and totals."""
+    """Round outcome: loads, the slowest message per tier, totals, and the
+    instruction count and bandwidth the energy charge was computed from."""
 
     mode: str
     loads: LoadReport
     tier_latency: dict[str, LatencyBreakdown]
     end_to_end: float
     energy: float
+    instructions: float
+    available_bandwidth: float
 
 
 def link_latency(
@@ -191,33 +194,28 @@ def simulate_collection(
     links: TierLinks,
     energy: EnergyModel,
     mode: str,
-    shots: int | None = None,
 ) -> CollectionResult:
     """One full collection round under classical or quantum transport.
 
-    `shots` overrides the topology's repetition count when given. The
-    energy charge uses the hypervisor's total ingest, a derived
+    The energy charge uses the hypervisor's total ingest, a derived
     instruction count (instructions_per_bit_processed per ingested
     symbol), and the mid-tier rate for the active symbol kind as the
     available bandwidth.
     """
     if mode not in ("classical", "quantum"):
         raise ValueError(f"mode must be 'classical' or 'quantum', got {mode!r}")
-    t = topology if shots is None else replace(topology, shots=shots)
-    loads = classical_loads(t) if mode == "classical" else quantum_loads(t)
+    loads = classical_loads(topology) if mode == "classical" else quantum_loads(topology)
     tier_latency, end_to_end = round_latency(
-        loads, links, t.switches_per_controller, t.num_controllers
+        loads, links, topology.switches_per_controller, topology.num_controllers
     )
-    joules = energy_estimate(
-        loads.hypervisor_ingest,
-        energy.instructions_per_bit_processed * loads.hypervisor_ingest,
-        links.mid.rate(loads.unit),
-        energy,
-    )
+    instructions = energy.instructions_per_bit_processed * loads.hypervisor_ingest
+    bandwidth = links.mid.rate(loads.unit)
     return CollectionResult(
         mode=mode,
         loads=loads,
         tier_latency=tier_latency,
         end_to_end=end_to_end,
-        energy=joules,
+        energy=energy_estimate(loads.hypervisor_ingest, instructions, bandwidth, energy),
+        instructions=instructions,
+        available_bandwidth=bandwidth,
     )

@@ -17,12 +17,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .statevector import (
-    ArrayLike,
-    QuantumState,
-    amplitude_encode,
-    num_qubits_for,
-)
+from .scaling import qubits_for_parameters
+from .statevector import ArrayLike, QuantumState, amplitude_encode
 
 BRANCH_PROB_FLOOR = 1e-12
 
@@ -58,7 +54,7 @@ class JoinedState:
     weight_mode: WeightMode
 
     def __post_init__(self):
-        expected = self.data_qubits + num_qubits_for(self.num_sources)
+        expected = self.data_qubits + qubits_for_parameters(self.num_sources)
         if self.state.num_qubits != expected:
             raise MixedDimensionsError(
                 f"joined state has {self.state.num_qubits} qubits, expected {expected}"
@@ -102,7 +98,7 @@ def qram_join(
             raise NonPositiveWeightError("weights must be positive and finite")
         betas = w / np.linalg.norm(w)
 
-    address_qubits = num_qubits_for(k)
+    address_qubits = qubits_for_parameters(k)
     block = 1 << m
     joined = np.zeros((1 << address_qubits) * block, dtype=np.complex128)
     for i, (beta, s) in enumerate(zip(betas, states)):

@@ -36,6 +36,11 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def table_csv(records: Sequence[dict]) -> str:
+    """CSV of one or more records with the same keys: the keys are the header."""
+    return csv_text(list(records[0]), [record.values() for record in records])
+
+
 def _standard(obj):
     """Infinite floats as their CSV cell ("inf"), since RFC 8259 JSON has none."""
     if isinstance(obj, float) and math.isinf(obj):

@@ -6,6 +6,12 @@ optional sweep) and only then writes report files, each atomically, so an
 error of any kind leaves the output directory untouched. Identical
 (config, seed) pairs produce byte-identical reports: nothing here reads
 clocks, hostnames, or unseeded randomness.
+
+Every report row is built once, as a record (a dict in column order) taken
+from the dataclass it reports: a table's CSV header and cells are the
+records' keys and values, and report.json holds the same records (the
+balance columns grouped as BALANCE_GROUPS lists). The `simulate`,
+`balance` and `scale` commands print the same records.
 """
 from __future__ import annotations
 
@@ -25,48 +31,9 @@ from .scaling import (
     scaling_table,
 )
 
-LOADS_HEADER = (
-    "mode",
-    "leaf_link_load",
-    "controller_ingest",
-    "mid_link_load",
-    "hypervisor_ingest",
-    "hypervisor_state_size",
-    "unit",
-)
-LATENCY_HEADER = ("mode", "tier", "propagation", "transmission", "queuing", "processing", "total")
-ENERGY_HEADER = ("mode", "symbols_to_hypervisor", "instructions", "available_bandwidth", "energy_joules")
-BALANCE_HEADER = (
-    "link",
-    "cbits_demand",
-    "qubits_demand",
-    "qubits_teleported",
-    "cbits_densecoded",
-    "ebits_consumed",
-    "ebits_remaining",
-    "resulting_cbits",
-    "resulting_qubits",
-    "utilization_classical",
-    "utilization_quantum",
-)
-SWEEP_HEADER = ("sweep_param", "sweep_value", "classical_bits", "quantum_qubits", "ratio")
-
 
 def modes_for(mode: str) -> tuple[str, ...]:
     return ("classical", "quantum") if mode == "both" else (mode,)
-
-
-def loads_row(result: CollectionResult) -> tuple:
-    loads = result.loads
-    return (
-        result.mode,
-        loads.leaf_link_load,
-        loads.controller_ingest,
-        loads.mid_link_load,
-        loads.hypervisor_ingest,
-        loads.hypervisor_state_size,
-        loads.unit.value,
-    )
 
 
 @dataclass(frozen=True)
@@ -102,29 +69,67 @@ def run_balancing(cfg: ScenarioConfig) -> list[BalanceOutcome]:
     return outcomes
 
 
-def result_json(result: CollectionResult) -> dict:
+def result_record(result: CollectionResult) -> dict:
+    """One mode's round as report.json nests it; the tables take their rows
+    from its groups."""
     return {
-        "loads": {
-            "leaf_link_load": result.loads.leaf_link_load,
-            "controller_ingest": result.loads.controller_ingest,
-            "mid_link_load": result.loads.mid_link_load,
-            "hypervisor_ingest": result.loads.hypervisor_ingest,
-            "hypervisor_state_size": result.loads.hypervisor_state_size,
-            "unit": result.loads.unit.value,
-        },
-        "latency": {
-            tier: {
-                "propagation": b.propagation,
-                "transmission": b.transmission,
-                "queuing": b.queuing,
-                "processing": b.processing,
-                "total": b.total,
-            }
-            for tier, b in result.tier_latency.items()
-        },
+        "latency": {tier: vars(b) for tier, b in result.tier_latency.items()},
         "end_to_end": result.end_to_end,
         "energy_joules": result.energy,
+        "loads": {**vars(result.loads), "unit": result.loads.unit.value},
     }
+
+
+def energy_record(result: CollectionResult) -> dict:
+    return {
+        "mode": result.mode,
+        "symbols_to_hypervisor": result.loads.hypervisor_ingest,
+        "instructions": result.instructions,
+        "available_bandwidth": result.available_bandwidth,
+        "energy_joules": result.energy,
+    }
+
+
+def plan_record(plan: TransferPlan, ebits_remaining: int | None = None) -> dict:
+    """A plan's columns of a balance row; without a stock (the `balance`
+    command has no ledger to debit) the ebits_remaining column is left out."""
+    record = {
+        "qubits_teleported": plan.qubits_teleported,
+        "cbits_densecoded": plan.cbits_densecoded,
+        "ebits_consumed": plan.ebits_consumed,
+        "ebits_remaining": ebits_remaining,
+        "resulting_cbits": plan.resulting_load.cbits,
+        "resulting_qubits": plan.resulting_load.qubits,
+        "utilization_classical": plan.utilization[0],
+        "utilization_quantum": plan.utilization[1],
+    }
+    if ebits_remaining is None:
+        del record["ebits_remaining"]
+    return record
+
+
+def balance_record(outcome: BalanceOutcome) -> dict:
+    return {
+        "link": outcome.link,
+        "cbits_demand": outcome.demand.cbits,
+        "qubits_demand": outcome.demand.qubits,
+        **plan_record(outcome.plan, outcome.event.ebits_remaining),
+    }
+
+
+# report.json nests these balance.csv columns: group -> {key: column}.
+BALANCE_GROUPS = {
+    "demand": {"cbits": "cbits_demand", "qubits": "qubits_demand"},
+    "resulting_load": {"cbits": "resulting_cbits", "qubits": "resulting_qubits"},
+    "utilization": {"classical": "utilization_classical", "quantum": "utilization_quantum"},
+}
+
+
+def balance_json(record: dict) -> dict:
+    entry = {key: value for key, value in record.items() if key != "link"}
+    for group, columns in BALANCE_GROUPS.items():
+        entry[group] = {key: entry.pop(column) for key, column in columns.items()}
+    return entry
 
 
 def build_report_files(cfg: ScenarioConfig) -> dict[str, str]:
@@ -133,99 +138,36 @@ def build_report_files(cfg: ScenarioConfig) -> dict[str, str]:
         simulate_collection(cfg.topology, cfg.links, cfg.energy, mode)
         for mode in modes_for(cfg.mode)
     ]
-    balance = run_balancing(cfg)
-    sweep_rows = (
-        scaling_table(cfg.topology, cfg.sweep.parameter, cfg.sweep.values)
+    records = {r.mode: result_record(r) for r in results}
+    balance = [balance_record(o) for o in run_balancing(cfg)]
+    sweep = (
+        [vars(row) for row in scaling_table(cfg.topology, cfg.sweep.parameter, cfg.sweep.values)]
         if cfg.sweep is not None
         else None
     )
 
     files: dict[str, str] = {}
-    files["loads.csv"] = reporting.csv_text(LOADS_HEADER, [loads_row(r) for r in results])
-    files["latency.csv"] = reporting.csv_text(
-        LATENCY_HEADER,
-        [
-            (r.mode, tier, b.propagation, b.transmission, b.queuing, b.processing, b.total)
-            for r in results
-            for tier, b in r.tier_latency.items()
-        ],
+    files["loads.csv"] = reporting.table_csv(
+        [{"mode": mode, **record["loads"]} for mode, record in records.items()]
     )
-    files["energy.csv"] = reporting.csv_text(
-        ENERGY_HEADER,
+    files["latency.csv"] = reporting.table_csv(
         [
-            (
-                r.mode,
-                r.loads.hypervisor_ingest,
-                cfg.energy.instructions_per_bit_processed * r.loads.hypervisor_ingest,
-                cfg.links.mid.rate(r.loads.unit),
-                r.energy,
-            )
-            for r in results
-        ],
+            {"mode": mode, "tier": tier, **breakdown}
+            for mode, record in records.items()
+            for tier, breakdown in record["latency"].items()
+        ]
     )
+    files["energy.csv"] = reporting.table_csv([energy_record(r) for r in results])
     if balance:
-        files["balance.csv"] = reporting.csv_text(
-            BALANCE_HEADER,
-            [
-                (
-                    o.link,
-                    o.demand.cbits,
-                    o.demand.qubits,
-                    o.plan.qubits_teleported,
-                    o.plan.cbits_densecoded,
-                    o.plan.ebits_consumed,
-                    o.event.ebits_remaining,
-                    o.plan.resulting_load.cbits,
-                    o.plan.resulting_load.qubits,
-                    o.plan.utilization[0],
-                    o.plan.utilization[1],
-                )
-                for o in balance
-            ],
-        )
-    if sweep_rows is not None:
-        files["sweep.csv"] = reporting.csv_text(
-            SWEEP_HEADER,
-            [
-                (row.sweep_param, row.sweep_value, row.classical_bits, row.quantum_qubits, row.ratio)
-                for row in sweep_rows
-            ],
-        )
-
+        files["balance.csv"] = reporting.table_csv(balance)
+    if sweep is not None:
+        files["sweep.csv"] = reporting.table_csv(sweep)
     report = {
         "scenario": scenario_to_dict(cfg),
         "seed": cfg.seed,
-        "results": {r.mode: result_json(r) for r in results},
-        "balance": {
-            o.link: {
-                "demand": {"cbits": o.demand.cbits, "qubits": o.demand.qubits},
-                "qubits_teleported": o.plan.qubits_teleported,
-                "cbits_densecoded": o.plan.cbits_densecoded,
-                "ebits_consumed": o.plan.ebits_consumed,
-                "ebits_remaining": o.event.ebits_remaining,
-                "resulting_load": {
-                    "cbits": o.plan.resulting_load.cbits,
-                    "qubits": o.plan.resulting_load.qubits,
-                },
-                "utilization": {
-                    "classical": o.plan.utilization[0],
-                    "quantum": o.plan.utilization[1],
-                },
-            }
-            for o in balance
-        },
-        "sweep": None
-        if sweep_rows is None
-        else [
-            {
-                "sweep_param": row.sweep_param,
-                "sweep_value": row.sweep_value,
-                "classical_bits": row.classical_bits,
-                "quantum_qubits": row.quantum_qubits,
-                "ratio": row.ratio,
-            }
-            for row in sweep_rows
-        ],
+        "results": records,
+        "balance": {record["link"]: balance_json(record) for record in balance},
+        "sweep": sweep,
     }
     files["report.json"] = reporting.json_text(report)
     return files

@@ -69,28 +69,20 @@ class LoadReport:
 
 
 def qubits_for_parameters(params: int) -> int:
-    """Qubits to amplitude-encode `params` values: ceil(log2 P), 0 for P=1."""
+    """Qubits to amplitude-encode, or to address, `params` values:
+    ceil(log2 P), 0 for P=1."""
     if params < 1:
         raise ValueError("parameter count must be >= 1")
     return int(params - 1).bit_length()
 
 
-def classical_loads(t: TopologySpec, reduction: float = 1.0) -> LoadReport:
-    """Bit counts when every parameter is streamed upward unmodified.
-
-    `reduction` models controllers compressing before forwarding; it scales
-    the controller-to-hypervisor link only (ceiling to whole bits) and
-    defaults to raw forwarding.
-    """
-    if not 0.0 < reduction <= 1.0:
-        raise ValueError(f"reduction must be in (0, 1], got {reduction!r}")
+def classical_loads(t: TopologySpec) -> LoadReport:
+    """Bit counts when every parameter is streamed upward unmodified."""
     leaf = t.params_per_switch * t.bits_per_param
     mid = t.switches_per_controller * leaf
-    if reduction != 1.0:
-        mid = math.ceil(mid * reduction)
     return LoadReport(
         leaf_link_load=leaf,
-        controller_ingest=t.switches_per_controller * leaf,
+        controller_ingest=mid,
         mid_link_load=mid,
         hypervisor_ingest=t.num_controllers * mid,
         hypervisor_state_size=0,

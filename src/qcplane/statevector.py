@@ -25,6 +25,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .scaling import qubits_for_parameters
+
 NORM_ATOL = 1e-10
 
 ArrayLike = Sequence[float] | np.ndarray
@@ -115,13 +117,6 @@ def _as_real_vector(values: ArrayLike) -> np.ndarray:
     return vec
 
 
-def num_qubits_for(length: int) -> int:
-    """Qubits needed to index `length` slots: ceil(log2(length)), 0 for 1."""
-    if length < 1:
-        raise EmptyVectorError("length must be positive")
-    return int(length - 1).bit_length()
-
-
 def amplitude_encode(values: ArrayLike) -> QuantumState:
     """Encode a real vector as amplitudes of a ceil(log2 n)-qubit state.
 
@@ -132,7 +127,7 @@ def amplitude_encode(values: ArrayLike) -> QuantumState:
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise ZeroVectorError("cannot encode a zero vector")
-    m = num_qubits_for(vec.size)
+    m = qubits_for_parameters(vec.size)
     padded = np.zeros(1 << m, dtype=np.complex128)
     padded[: vec.size] = vec / norm
     return QuantumState(padded)

@@ -96,6 +96,32 @@ class TestJoin:
         assert code == 3
 
 
+# (JSON token, as the error shows it): Python's json reads 1e999 and an
+# integer beyond the float range as overflowing numbers.
+JSON_NON_FINITE = [("NaN", "NaN"), ("Infinity", "Infinity"), ("-Infinity", "-Infinity"),
+                   ("1e999", "Infinity"), ("1" + "0" * 400, "Infinity")]
+LINE_NON_FINITE = ["NaN", "nan", "inf", "-Infinity", "1e999"]
+# (command, file name, text with the entry at {}, where the error says it is)
+VECTOR_FILES = {
+    "json": [("encode", "v.json", "[1, {}, 2]", "[1]"), ("join", "s.json", "[[1, 2], [3, {}]]", "[1][1]")],
+    "lines": [("encode", "v.txt", "1\n\n{}\n2\n", ":3"), ("join", "s.txt", "1 2\n3 {}\n", ":2")],
+}
+
+
+@pytest.mark.parametrize("command,name,text,where,token,shown", [
+    *(file + pair for file in VECTOR_FILES["json"] for pair in JSON_NON_FINITE),
+    *(file + (token, token) for file in VECTOR_FILES["lines"] for token in LINE_NON_FINITE),
+])
+def test_non_finite_vector_entry_exits_3_naming_it(tmp_path, capsys, command, name, text, where,
+                                                    token, shown):
+    path = tmp_path / name
+    path.write_text(text.format(token))
+    code, out, err = run_cli(capsys, command, "--input", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {path}{where}: vector entries must be finite, got {shown}\n"
+
+
 class TestScale:
     def test_geometric_sweep_matches_library(self, capsys):
         code, out, _ = run_cli(
@@ -135,7 +161,7 @@ class TestScale:
         assert code == 2
 
     def test_byte_identical_output(self, tmp_path, capsys):
-        argv = ["scale", "--sweep", "P", "--values", "2,64,2000", "--seed", "5"]
+        argv = ["scale", "--sweep", "P", "--values", "2,64,2000"]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(argv + ["--output", str(a)]) == 0
         assert main(argv + ["--output", str(b)]) == 0
@@ -360,3 +386,16 @@ def test_non_finite_scenario_values_exit_3(tmp_path, capsys, field, token, comma
     assert code == 3
     assert ".".join(field) in err and token in err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["selftest", "--seed", "5"],
+    ["scale", "--sweep", "K", "--values", "2", "--seed", "5"],
+    ["simulate", "--config", str(DESK_EXAMPLE), "--seed", "5"],
+    ["run", str(DESK_EXAMPLE), "--format", "json"],
+], ids=lambda argv: f"{argv[0]}-{argv[-2]}")
+def test_flags_that_change_nothing_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

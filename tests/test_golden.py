@@ -1,0 +1,116 @@
+"""
+Golden outputs of every subcommand, compared byte for byte.
+
+Each case is one command line. Its exit code and stderr are stored in
+tests/golden/status.json, its stdout in tests/golden/<case>.stdout and,
+for `run`, every report file under tests/golden/<case>/. The only
+normalisation is the report directory that `run` prints, which becomes
+"<out>". After a deliberate output change, regenerate with
+
+    python tests/test_golden.py
+
+and list the change in CHANGES.md.
+"""
+import contextlib
+import io
+import json
+import shutil
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+GOLDEN = REPO / "tests" / "golden"
+INPUTS = GOLDEN / "inputs"
+PAPER = str(REPO / "scenarios" / "paper_example.json")
+DESK = str(REPO / "scenarios" / "desk_example.json")
+OUT = "<out>"
+
+BASE = {
+    "encode-json": ["encode", "--input", str(INPUTS / "vector.json")],
+    "encode-lines": ["encode", "--input", str(INPUTS / "vector.txt")],
+    "join-json": ["join", "--input", str(INPUTS / "vectors.json")],
+    "join-json-uniform": ["join", "--input", str(INPUTS / "vectors.json"), "--weight-mode", "uniform"],
+    "join-lines": ["join", "--input", str(INPUTS / "vectors.txt")],
+    "join-lines-uniform": ["join", "--input", str(INPUTS / "vectors.txt"), "--weight-mode", "uniform"],
+    "scale-range": ["scale", "--sweep", "K", "--from", "2", "--to", "1024",
+                    "--n", "1024", "--k", "1024", "--p", "2000"],
+    "scale-values": ["scale", "--sweep", "P", "--values", "1,2,2000", "--n", "3", "--k", "5",
+                     "--b", "8", "--r", "4"],
+    "scale-inf": ["scale", "--sweep", "K", "--values", "1", "--n", "1", "--k", "1", "--p", "1"],
+    "simulate-paper": ["simulate", "--config", PAPER],
+    "simulate-desk": ["simulate", "--config", DESK],
+    "simulate-desk-quantum": ["simulate", "--config", DESK, "--mode", "quantum"],
+    "balance-teleport": ["balance", "--cbits", "0", "--qubits", "10", "--ebits", "10",
+                         "--classical-capacity", "100", "--quantum-capacity", "5"],
+    "balance-densecode": ["balance", "--cbits", "4000", "--qubits", "3", "--ebits", "700",
+                          "--classical-capacity", "1000", "--quantum-capacity", "900"],
+    "balance-infeasible": ["balance", "--cbits", "100", "--qubits", "100", "--ebits", "0",
+                           "--classical-capacity", "10", "--quantum-capacity", "10"],
+    "selftest": ["selftest"],
+}
+CASES = {
+    **{f"{name}-{fmt}": argv + ["--format", fmt] for name, argv in BASE.items() for fmt in ("csv", "json")},
+    "selftest-text": ["selftest"],
+    "run-paper": ["run", PAPER, "--output", OUT],
+    "run-desk": ["run", DESK, "--output", OUT],
+    "run-desk-seed": ["run", DESK, "--output", OUT, "--seed", "11"],
+}
+
+
+def execute(argv: list[str], outdir: Path) -> tuple[int, str, str, dict[str, bytes]]:
+    """Exit code, stdout and stderr of `qcplane argv`, and the files it wrote
+    to `outdir` (where "<out>" in argv points)."""
+    from qcplane.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    argv = [str(outdir) if arg == OUT else arg for arg in argv]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())} if outdir.exists() else {}
+    return code, out.getvalue().replace(str(outdir), OUT), err.getvalue(), files
+
+
+@pytest.fixture(scope="module")
+def status():
+    return json.loads((GOLDEN / "status.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_matches_golden(case, status, tmp_path):
+    code, stdout, stderr, files = execute(CASES[case], tmp_path / "out")
+    assert {"exit": code, "stderr": stderr} == status[case]
+    assert stdout.encode("utf-8") == (GOLDEN / f"{case}.stdout").read_bytes()
+    golden_dir = GOLDEN / case
+    want = {p.name: p.read_bytes() for p in sorted(golden_dir.iterdir())} if golden_dir.is_dir() else {}
+    assert sorted(files) == sorted(want)
+    for name in want:
+        assert files[name] == want[name], name
+
+
+def test_every_golden_file_belongs_to_a_case():
+    names = {p.name for p in GOLDEN.iterdir()} - {"inputs", "status.json"}
+    expected = {f"{case}.stdout" for case in CASES} | {c for c in CASES if c.startswith("run-")}
+    assert names == expected
+
+
+def regenerate() -> None:
+    status = {}
+    for case, argv in sorted(CASES.items()):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, stdout, stderr, files = execute(argv, Path(tmp) / "out")
+        status[case] = {"exit": code, "stderr": stderr}
+        (GOLDEN / f"{case}.stdout").write_bytes(stdout.encode("utf-8"))
+        shutil.rmtree(GOLDEN / case, ignore_errors=True)
+        if files:
+            (GOLDEN / case).mkdir()
+            for name, data in files.items():
+                (GOLDEN / case / name).write_bytes(data)
+    (GOLDEN / "status.json").write_text(json.dumps(status, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(REPO / "src"))
+    regenerate()

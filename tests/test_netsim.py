@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -146,7 +148,7 @@ class TestSimulateCollection:
     def test_shots_override(self):
         t = TopologySpec(4, 4, 16)
         base = simulate_collection(t, PARITY_LINKS, make_energy(), "quantum")
-        repeated = simulate_collection(t, PARITY_LINKS, make_energy(), "quantum", shots=10)
+        repeated = simulate_collection(replace(t, shots=10), PARITY_LINKS, make_energy(), "quantum")
         assert repeated.loads.leaf_link_load == 10 * base.loads.leaf_link_load
         assert repeated.end_to_end > base.end_to_end
 
@@ -166,7 +168,7 @@ class TestSimulateCollection:
     def test_quantum_wins_below_break_even_at_leaf(self):
         t = TopologySpec(4, 4, 2000)
         r = break_even_shots(t)
-        below = simulate_collection(t, PARITY_LINKS, make_energy(), "quantum", shots=r)
+        below = simulate_collection(replace(t, shots=r), PARITY_LINKS, make_energy(), "quantum")
         classical = simulate_collection(t, PARITY_LINKS, make_energy(), "classical")
         leaf_q = below.loads.leaf_link_load
         leaf_c = classical.loads.leaf_link_load

@@ -78,18 +78,6 @@ class TestClassicalLoads:
         assert loads.controller_ingest == 96
         assert loads.hypervisor_ingest == 192
 
-    def test_mid_link_reduction_factor(self):
-        loads = classical_loads(TopologySpec(2, 3, 4, bits_per_param=8), reduction=0.5)
-        assert loads.mid_link_load == 48
-        assert loads.hypervisor_ingest == 96
-        assert loads.controller_ingest == 96  # ingest unaffected by forwarding compression
-
-    def test_reduction_bounds(self):
-        with pytest.raises(ValueError):
-            classical_loads(reference_topology(), reduction=0.0)
-        with pytest.raises(ValueError):
-            classical_loads(reference_topology(), reduction=1.5)
-
 
 class TestQuantumLoads:
     def test_reference_network(self):
