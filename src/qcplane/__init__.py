@@ -46,6 +46,7 @@ from .statevector import (
     EstimateResult,
     OutcomeHistogram,
     QuantumState,
+    SparseCounts,
     amplitude_encode,
     estimate_expectation,
     expectation,

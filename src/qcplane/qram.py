@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .scaling import qubits_for_parameters
-from .statevector import ArrayLike, QuantumState, amplitude_encode
+from .statevector import ArrayLike, QuantumState, _real_vector, _unit
 
 BRANCH_PROB_FLOOR = 1e-12
 
@@ -96,14 +96,15 @@ def qram_join(
             raise MixedDimensionsError(f"got {w.size} weights for {k} states")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise NonPositiveWeightError("weights must be positive and finite")
-        betas = w / np.linalg.norm(w)
+        _, scale, norm = _real_vector(w)
+        betas = (w if scale == 1.0 else w / scale) / norm
 
     address_qubits = qubits_for_parameters(k)
     block = 1 << m
     joined = np.zeros((1 << address_qubits) * block, dtype=np.complex128)
     for i, (beta, s) in enumerate(zip(betas, states)):
-        joined[i * block : (i + 1) * block] = beta * s.amplitudes
-    return JoinedState(QuantumState(joined), k, m, mode)
+        np.multiply(beta, s.amplitudes, out=joined[i * block : (i + 1) * block])
+    return JoinedState(QuantumState._adopt(joined), k, m, mode)
 
 
 def join_from_raw(vectors: Sequence[ArrayLike]) -> JoinedState:
@@ -118,9 +119,16 @@ def join_from_raw(vectors: Sequence[ArrayLike]) -> JoinedState:
     arrays = [np.asarray(v, dtype=np.float64).reshape(-1) for v in vectors]
     if any(a.size != arrays[0].size for a in arrays):
         raise MixedDimensionsError("all joined vectors must have equal length")
-    states = [amplitude_encode(a) for a in arrays]
-    norms = [float(np.linalg.norm(a)) for a in arrays]
-    return qram_join(states, norms, WeightMode.NORM_PROPORTIONAL)
+    states, norms = [], []
+    for a in arrays:
+        vec, scale, norm = _real_vector(a)
+        states.append(QuantumState._adopt(_unit(vec, scale, norm, np.complex128)))
+        norms.append((scale, norm))
+    # Only the weights' ratios matter: one common scale keeps them finite
+    # and nonzero where a plain sum of squares would leave the float range.
+    top = max(scale for scale, _ in norms)
+    weights = [norm * (scale / top) for scale, norm in norms]
+    return qram_join(states, weights, WeightMode.NORM_PROPORTIONAL)
 
 
 def address_marginal(joined: JoinedState, k: int) -> AddressBranch:
@@ -134,5 +142,5 @@ def address_marginal(joined: JoinedState, k: int) -> AddressBranch:
     probability = float(np.sum(np.abs(branch) ** 2))
     if probability < BRANCH_PROB_FLOOR:
         raise EmptyBranchError(f"address branch {k} has probability < {BRANCH_PROB_FLOOR}")
-    conditional = QuantumState(branch / np.sqrt(probability))
+    conditional = QuantumState._adopt(branch / np.sqrt(probability))
     return AddressBranch(probability, conditional)

@@ -11,7 +11,13 @@ for in its qubits_sent figure.
 
 Sampling is inverse-CDF over the cumulative probability vector, driven by
 numpy's PCG64 generator (`numpy.random.default_rng`) seeded explicitly, so
-a (state, shots, seed) triple always reproduces the same histogram.
+a (state, shots, seed) triple always reproduces the same histogram. The
+draws are searched in increasing order, so the search walks the CDF once
+instead of missing the cache on nearly every draw of a large state; each
+draw still gets the index of its own value, so the outcome of every shot is
+what a search in draw order gives. A histogram holds two arrays, the
+observed outcomes in increasing order and their shot counts, behind a
+read-only mapping; no Python object is built per outcome.
 
 Signed telemetry is allowed; the sign survives in the amplitudes but is
 invisible to sampling and to diagonal observables, which only see squared
@@ -20,6 +26,9 @@ magnitudes.
 from __future__ import annotations
 
 import math
+import operator
+import sys
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -54,7 +63,20 @@ class QuantumState:
     __slots__ = ("amplitudes", "num_qubits")
 
     def __init__(self, amplitudes: ArrayLike):
-        amps = np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy()
+        self._own(np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy())
+
+    @classmethod
+    def _adopt(cls, amps: np.ndarray) -> QuantumState:
+        """Wrap a fresh 1-D complex128 array without copying it.
+
+        The caller gives the array up: it is checked like any other
+        amplitudes and then made read-only.
+        """
+        state = cls.__new__(cls)
+        state._own(amps)
+        return state
+
+    def _own(self, amps: np.ndarray) -> None:
         if amps.size == 0:
             raise EmptyVectorError("state needs at least one amplitude")
         m = int(amps.size - 1).bit_length()
@@ -62,8 +84,8 @@ class QuantumState:
             raise ValueError(
                 f"amplitude count {amps.size} is not a power of two"
             )
-        sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(sq - 1.0) > NORM_ATOL:
+        sq = float(np.vdot(amps, amps).real)
+        if not abs(sq - 1.0) <= NORM_ATOL:  # a NaN sum fails too
             raise ValueError(f"squared-magnitude sum {sq!r} is not 1")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -83,19 +105,111 @@ class QuantumState:
         return f"QuantumState(num_qubits={self.num_qubits})"
 
 
+class SparseCounts(Mapping):
+    """Read-only mapping from outcome to shot count, held as two arrays.
+
+    `outcomes` increases strictly and `shots[i]` is the count of
+    `outcomes[i]`; both are int64 and read-only. The arrays are taken
+    without a copy. Iteration runs in increasing outcome order, and keys
+    and values come out as Python ints.
+    """
+
+    __slots__ = ("outcomes", "shots")
+
+    def __init__(self, outcomes: ArrayLike, shots: ArrayLike):
+        outcomes = np.asarray(outcomes, dtype=np.int64)
+        shots = np.asarray(shots, dtype=np.int64)
+        if outcomes.ndim != 1 or shots.shape != outcomes.shape:
+            raise ValueError("outcomes and shots must be 1-D arrays of one length")
+        if np.any(outcomes[1:] <= outcomes[:-1]):
+            raise ValueError("outcomes must increase strictly")
+        outcomes.setflags(write=False)
+        shots.setflags(write=False)
+        self.outcomes, self.shots = outcomes, shots
+
+    def _position(self, outcome) -> int:
+        """Index of `outcome` in `outcomes`, or -1 when it was not observed."""
+        try:
+            key = operator.index(outcome)
+        except TypeError:
+            return -1
+        if not self.outcomes.size or not self.outcomes[0] <= key <= self.outcomes[-1]:
+            return -1
+        i = int(np.searchsorted(self.outcomes, key))
+        return i if self.outcomes[i] == key else -1
+
+    def __getitem__(self, outcome) -> int:
+        i = self._position(outcome)
+        if i < 0:
+            raise KeyError(outcome)
+        return int(self.shots[i])
+
+    def __len__(self) -> int:
+        return self.outcomes.size
+
+    def __iter__(self):
+        return _python_ints(self.outcomes)
+
+    def values(self) -> ValuesView:
+        return _ShotsView(self)
+
+    def items(self) -> ItemsView:
+        return _ItemsView(self)
+
+    def __eq__(self, other):
+        if isinstance(other, SparseCounts):
+            return bool(
+                np.array_equal(self.outcomes, other.outcomes)
+                and np.array_equal(self.shots, other.shots)
+            )
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return f"SparseCounts(outcomes={self.outcomes!r}, shots={self.shots!r})"
+
+
+def _python_ints(array: np.ndarray):
+    """The entries of an int64 array as Python ints, converted a block at a
+    time so that a large histogram never exists as one list of ints."""
+    for start in range(0, array.size, 4096):
+        yield from array[start : start + 4096].tolist()
+
+
+class _ShotsView(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return _python_ints(self._mapping.shots)
+
+
+class _ItemsView(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(_python_ints(self._mapping.outcomes), _python_ints(self._mapping.shots))
+
+
 @dataclass(frozen=True)
 class OutcomeHistogram:
-    """Shot counts per observed basis index."""
+    """Shot counts per observed basis index.
 
-    counts: dict[int, int]
+    Any mapping given as `counts` is stored as a `SparseCounts`.
+    """
+
+    counts: SparseCounts
     total_shots: int
 
     def __post_init__(self):
         if self.total_shots < 1:
             raise ValueError("total_shots must be positive")
-        if any(c < 0 for c in self.counts.values()):
+        if not isinstance(self.counts, SparseCounts):
+            outcomes = sorted(self.counts)
+            sparse = SparseCounts(outcomes, [operator.index(self.counts[o]) for o in outcomes])
+            object.__setattr__(self, "counts", sparse)
+        shots = self.counts.shots
+        if shots.size and shots.min() < 0:
             raise ValueError("negative shot count")
-        if sum(self.counts.values()) != self.total_shots:
+        if int(shots.sum()) != self.total_shots:
             raise ValueError("counts do not add up to total_shots")
 
     def frequency(self, outcome: int) -> float:
@@ -108,13 +222,39 @@ class EstimateResult(NamedTuple):
     qubits_sent: int
 
 
-def _as_real_vector(values: ArrayLike) -> np.ndarray:
+def _real_vector(values: ArrayLike) -> tuple[np.ndarray, float, float]:
+    """(vec, scale, norm): values as a checked 1-D float64 array, and its
+    Euclidean norm as scale * norm.
+
+    The scale is 1 unless the plain sum of squares overflows or underflows
+    (it is infinite, zero or subnormal for a nonzero vector); then it is
+    max |x|, and norm is the norm of vec / scale. A sum of squares that is
+    finite and normal also shows every entry to be finite.
+    """
     vec = np.asarray(values, dtype=np.float64).reshape(-1)
     if vec.size == 0:
         raise EmptyVectorError("cannot encode an empty vector")
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = float(vec.dot(vec))
+    if sys.float_info.min <= squares < math.inf:
+        return vec, 1.0, math.sqrt(squares)
     if not np.all(np.isfinite(vec)):
         raise ValueError("vector entries must be finite")
-    return vec
+    scale = float(np.max(np.abs(vec)))
+    if scale == 0.0:
+        return vec, 1.0, 0.0
+    unit = vec / scale
+    return vec, scale, math.sqrt(unit.dot(unit))
+
+
+def _unit(vec: np.ndarray, scale: float, norm: float, dtype) -> np.ndarray:
+    """vec divided by its norm, scale * norm, and zero-padded to the next
+    power of two, as a fresh array of `dtype`."""
+    if norm == 0.0:
+        raise ZeroVectorError("cannot encode a zero vector")
+    unit = np.zeros(1 << qubits_for_parameters(vec.size), dtype=dtype)
+    np.divide(vec if scale == 1.0 else vec / scale, norm, out=unit.real[: vec.size])
+    return unit
 
 
 def amplitude_encode(values: ArrayLike) -> QuantumState:
@@ -122,36 +262,81 @@ def amplitude_encode(values: ArrayLike) -> QuantumState:
 
     The vector is zero-padded up to the next power of two and divided by
     its Euclidean norm, so padding slots carry exactly zero probability.
+    Vectors whose sum of squares leaves the float range, such as
+    [1e300, -1e300] or [1e-200, 1e-200], are scaled by their largest
+    magnitude first.
     """
-    vec = _as_real_vector(values)
-    norm = float(np.linalg.norm(vec))
-    if norm == 0.0:
-        raise ZeroVectorError("cannot encode a zero vector")
-    m = qubits_for_parameters(vec.size)
-    padded = np.zeros(1 << m, dtype=np.complex128)
-    padded[: vec.size] = vec / norm
-    return QuantumState(padded)
+    return QuantumState._adopt(_unit(*_real_vector(values), np.complex128))
 
 
-def _sample_indices(state: QuantumState, shots: int, seed: int) -> np.ndarray:
-    # Inverse CDF keeps zero-probability outcomes unreachable: searchsorted
-    # with side="right" skips flat segments of the cumulative vector.
-    cdf = np.cumsum(state.probabilities())
-    draws = np.random.default_rng(seed).random(shots)
+def _draw_indices(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """The basis index of each draw under the cumulative probabilities `cdf`.
+
+    searchsorted with side="right" skips the flat segments of the CDF, so
+    zero-probability outcomes stay unreachable. By rounding, cdf[-1] can
+    fall short of 1; a draw at or past it goes to the last slot at which the
+    CDF rises, which is the last slot with positive probability unless that
+    probability is too small to move the CDF.
+    """
     idx = np.searchsorted(cdf, draws, side="right")
-    return np.minimum(idx, state.dim - 1)
+    if idx.max() == cdf.size:
+        np.minimum(idx, np.searchsorted(cdf, cdf[-1]), out=idx)
+    return idx
+
+
+def _sorted_outcomes(state: QuantumState, shots: int, seed: int) -> np.ndarray:
+    """The outcomes of `shots` seeded draws, in increasing order.
+
+    The counts depend only on the multiset of draws, so the draws are
+    sorted before the search. The CDF and the draws are freed on return,
+    before the histogram's arrays are built.
+    """
+    cdf = state.probabilities()
+    np.cumsum(cdf, out=cdf)
+    draws = np.random.default_rng(seed).random(shots)
+    draws.sort()
+    return _draw_indices(cdf, draws)
 
 
 def measure_sample(state: QuantumState, shots: int, seed: int) -> OutcomeHistogram:
     """Draw `shots` computational-basis outcomes, deterministic per seed."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    idx = _sample_indices(state, shots, seed)
-    values, counts = np.unique(idx, return_counts=True)
-    return OutcomeHistogram(
-        counts={int(v): int(c) for v, c in zip(values, counts)},
-        total_shots=shots,
-    )
+    idx = _sorted_outcomes(state, shots, seed)
+    run_ends = np.empty(shots, dtype=bool)
+    np.not_equal(idx[1:], idx[:-1], out=run_ends[:-1])
+    run_ends[-1] = True
+    ends = np.flatnonzero(run_ends)
+    counts = np.empty_like(ends)
+    counts[0] = ends[0] + 1
+    np.subtract(ends[1:], ends[:-1], out=counts[1:])
+    return OutcomeHistogram(SparseCounts(idx[ends], counts), shots)
+
+
+def _samples_in_draw_order(
+    cdf: np.ndarray, obs: np.ndarray, shots: int, seed: int
+) -> np.ndarray:
+    """obs at the index of each of `shots` seeded draws, in draw order.
+
+    One in-place sort of packed keys puts the draws in increasing order:
+    the high bits of each draw's bit pattern (non-negative doubles order
+    like their bit patterns) above its position in the low bits. Draws that
+    agree in the high bits sort by position, but every draw is searched by
+    its own value, so that order only affects the speed.
+    """
+    draws = np.random.default_rng(seed).random(shots)
+    low = np.uint64((1 << (shots - 1).bit_length()) - 1)
+    keys = draws.view(np.uint64) & ~low
+    keys |= np.arange(shots, dtype=np.uint64)
+    keys.sort()
+    keys &= low
+    order = keys.view(np.int64)
+    picked = draws[order]
+    # The indices are in range; mode="clip" lets take write to `out`
+    # without a buffer, which the default mode="raise" allocates.
+    np.take(obs, _draw_indices(cdf, picked), out=picked, mode="clip")
+    draws[order] = picked  # the draws are spent: their buffer takes the samples
+    return draws
 
 
 def expectation(state: QuantumState, observable: ArrayLike) -> float:
@@ -184,20 +369,23 @@ def estimate_expectation(
     """
     if shots < 2:
         raise ShotsTooFewError("need at least 2 shots for a spread estimate")
-    vec = _as_real_vector(source)
-    state = amplitude_encode(vec)
+    vec, scale, norm = _real_vector(source)
+    # The encoded state's CDF, without building the state: its amplitudes
+    # are real, and |x + 0j| ** 2 is exactly x ** 2.
+    cdf = _unit(vec, scale, norm, np.float64)
+    np.cumsum(np.square(cdf, out=cdf), out=cdf)
+    dim = cdf.size
     obs = np.asarray(observable, dtype=np.float64).reshape(-1)
-    if obs.size == vec.size and obs.size != state.dim:
-        obs = np.concatenate([obs, np.zeros(state.dim - obs.size)])
-    if obs.size != state.dim:
+    if obs.size == vec.size and obs.size != dim:
+        obs = np.concatenate([obs, np.zeros(dim - obs.size)])
+    if obs.size != dim:
         raise DimensionMismatchError(
-            f"observable has {obs.size} entries, want {vec.size} or {state.dim}"
+            f"observable has {obs.size} entries, want {vec.size} or {dim}"
         )
-    idx = _sample_indices(state, shots, seed)
-    samples = obs[idx]
+    samples = _samples_in_draw_order(cdf, obs, shots, seed)
     estimate = float(np.mean(samples))
     std_error = float(np.std(samples, ddof=1) / math.sqrt(shots))
-    return EstimateResult(estimate, std_error, shots * state.num_qubits)
+    return EstimateResult(estimate, std_error, shots * (dim.bit_length() - 1))
 
 
 def inner_product(a: QuantumState, b: QuantumState) -> complex:

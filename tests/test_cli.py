@@ -96,6 +96,21 @@ class TestJoin:
         assert code == 3
 
 
+@pytest.mark.parametrize("command,text,want", [
+    ("encode", "1e300\n-1e300\n", [2**-0.5, -(2**-0.5)]),
+    ("encode", "1e-200\n1e-200\n", [2**-0.5, 2**-0.5]),
+    ("join", "1e300 -1e300\n3e300 4e300\n", [x / 27**0.5 for x in (1, -1, 3, 4)]),
+    ("join", "1e-200 1e-200\n3e-200 4e-200\n", [x / 27**0.5 for x in (1, 1, 3, 4)]),
+])
+def test_sum_of_squares_out_of_float_range_encodes(tmp_path, capsys, command, text, want):
+    path = tmp_path / "v.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command, "--input", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    got = [re for re, _ in json.loads(out)["amplitudes"]]
+    assert got == pytest.approx(want, abs=1e-12)
+
+
 # (JSON token, as the error shows it): Python's json reads 1e999 and an
 # integer beyond the float range as overflowing numbers.
 JSON_NON_FINITE = [("NaN", "NaN"), ("Infinity", "Infinity"), ("-Infinity", "-Infinity"),

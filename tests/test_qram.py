@@ -142,6 +142,51 @@ class TestJoinFromRaw:
         assert count == 100
 
 
+    @pytest.mark.parametrize(
+        "vectors, factor",
+        [
+            ([[1.0, -1.0], [3.0, 4.0]], 1e300),
+            ([[1.0, -1.0], [3.0, 4.0]], 1e-200),
+            # The second norm, 2.1e308, is beyond the float range itself.
+            ([[1.0, 1.0], [3.0, 3.0]], 5e307),
+        ],
+    )
+    def test_norms_out_of_float_range(self, vectors, factor):
+        # The vectors' sums of squares overflow or underflow; the weights'
+        # ratios still match the same vectors at unit scale.
+        joined = join_from_raw([[x * factor for x in v] for v in vectors])
+        np.testing.assert_allclose(
+            joined.state.amplitudes, join_from_raw(vectors).state.amplitudes, atol=1e-15
+        )
+
+
+class TestWeightRange:
+    @pytest.mark.parametrize("factor", [1e300, 1e-200])
+    def test_weights_whose_sum_of_squares_leaves_the_float_range(self, factor):
+        states = [amplitude_encode([1, 2]), amplitude_encode([3, 1])]
+        got = qram_join(states, weights=[1.0 * factor, 2.0 * factor])
+        want = qram_join(states, weights=[1.0, 2.0])
+        np.testing.assert_allclose(got.state.amplitudes, want.state.amplitudes, atol=1e-15)
+
+
+class TestBuiltStatesAreReadOnly:
+    def test_join_and_marginal_amplitudes(self):
+        joined = join_from_raw([[1, 2], [3, 4], [5, 6]])
+        uniform = qram_join([amplitude_encode([1, 2])] * 3, mode=WeightMode.UNIFORM)
+        branch = address_marginal(joined, 1)
+        for state in (joined.state, uniform.state, branch.conditional):
+            assert not state.amplitudes.flags.writeable
+            with pytest.raises(ValueError):
+                state.amplitudes[0] = 0.0
+
+    def test_marginal_leaves_the_joined_state_unchanged(self):
+        joined = join_from_raw([[3, 4], [1, 0]])
+        before = joined.state.amplitudes.copy()
+        branch = address_marginal(joined, 0)
+        assert not np.shares_memory(branch.conditional.amplitudes, joined.state.amplitudes)
+        np.testing.assert_array_equal(joined.state.amplitudes, before)
+
+
 class TestAddressMarginal:
     def test_uniform_branch_probabilities(self):
         states = [amplitude_encode([1, 1])] * 4

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,9 +9,13 @@ from hypothesis import strategies as st
 from qcplane.statevector import (
     DimensionMismatchError,
     EmptyVectorError,
+    EstimateResult,
+    OutcomeHistogram,
     QuantumState,
     ShotsTooFewError,
+    SparseCounts,
     ZeroVectorError,
+    _draw_indices,
     amplitude_encode,
     estimate_expectation,
     expectation,
@@ -88,6 +93,11 @@ class TestQuantumStateInvariants:
     def test_unnormalized_amplitudes_rejected(self):
         with pytest.raises(ValueError):
             QuantumState([1.0, 1.0])
+
+    @pytest.mark.parametrize("amps", [[np.nan, 0.0], [np.inf, 0.0], [complex(np.inf, np.nan), 0.0]])
+    def test_non_finite_amplitudes_rejected(self, amps):
+        with pytest.raises(ValueError, match="is not 1"):
+            QuantumState(amps)
 
     def test_states_are_immutable(self):
         state = amplitude_encode([3, 4])
@@ -238,3 +248,212 @@ class TestInnerProduct:
                 inner_product(sa, sb)
         else:
             assert abs(inner_product(sa, sb)) <= 1 + 1e-10
+
+
+# --- the sampler searched in draw order, kept as the oracle ------------------
+
+
+def oracle_encode(values) -> QuantumState:
+    """Plain encoding: pad, then divide by np.linalg.norm."""
+    vec = np.asarray(values, dtype=np.float64).reshape(-1)
+    padded = np.zeros(1 << int(vec.size - 1).bit_length(), dtype=np.complex128)
+    padded[: vec.size] = vec / np.linalg.norm(vec)
+    return QuantumState(padded)
+
+
+def oracle_indices(state: QuantumState, shots: int, seed: int) -> np.ndarray:
+    """One searchsorted of the draws in the order they were drawn; a draw
+    past cdf[-1] goes to the last slot with positive probability."""
+    probs = state.probabilities()
+    draws = np.random.default_rng(seed).random(shots)
+    idx = np.searchsorted(np.cumsum(probs), draws, side="right")
+    return np.minimum(idx, np.flatnonzero(probs)[-1])
+
+
+def oracle_histogram(state: QuantumState, shots: int, seed: int) -> dict[int, int]:
+    values, counts = np.unique(oracle_indices(state, shots, seed), return_counts=True)
+    return {int(v): int(c) for v, c in zip(values, counts)}
+
+
+def oracle_estimate(source, observable, shots: int, seed: int) -> EstimateResult:
+    state = oracle_encode(source)
+    obs = np.zeros(state.dim)
+    obs[: len(observable)] = observable
+    samples = obs[oracle_indices(state, shots, seed)]
+    return EstimateResult(
+        float(np.mean(samples)),
+        float(np.std(samples, ddof=1) / math.sqrt(shots)),
+        shots * state.num_qubits,
+    )
+
+
+@st.composite
+def padded_states(draw):
+    """Random states of 0 to 12 qubits, real or complex, with zero padding
+    past a random length and zeroed slots inside it."""
+    m = draw(st.integers(0, 12))
+    used = draw(st.integers(1, 1 << m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = np.zeros(1 << m, dtype=np.complex128)
+    amps[:used] = rng.standard_normal(used)
+    if draw(st.booleans()):
+        amps[:used] += 1j * rng.standard_normal(used)
+    amps[:used][rng.random(used) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
+    if not amps.any():
+        amps[used - 1] = 1.0
+    return QuantumState(amps / np.sqrt(np.vdot(amps, amps).real))
+
+
+class TestSamplerOracle:
+    @given(padded_states(), st.integers(1, 200_000), st.integers(0, 2**63 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_histogram_equals_the_draw_order_search(self, state, shots, seed):
+        hist = measure_sample(state, shots, seed)
+        assert dict(hist.counts.items()) == oracle_histogram(state, shots, seed)
+
+    @given(
+        st.integers(1, 1 << 12),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+        st.integers(2, 200_000),
+        st.integers(0, 2**63 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_estimate_equals_the_draw_order_search(self, n, data_seed, padded_obs, shots, seed):
+        rng = np.random.default_rng(data_seed)
+        source = rng.standard_normal(n) * (rng.random(n) < 0.7)
+        source[-1] = 1.0
+        width = 1 << int(n - 1).bit_length() if padded_obs else n
+        observable = rng.standard_normal(width)
+        got = estimate_expectation(source, observable, shots, seed)
+        assert tuple(got) == tuple(oracle_estimate(source, observable, shots, seed))
+
+    def test_eighteen_qubits_one_hundred_thousand_shots(self):
+        rng = np.random.default_rng(18)
+        source = rng.uniform(0.1, 10.0, 250_000)
+        observable = np.arange(source.size, dtype=np.float64)
+        state = amplitude_encode(source)
+        assert state.num_qubits == 18
+        hist = measure_sample(state, 100_000, 1234)
+        assert dict(hist.counts.items()) == oracle_histogram(state, 100_000, 1234)
+        got = estimate_expectation(source, observable, 100_000, 5678)
+        assert got == oracle_estimate(source, observable, 100_000, 5678)
+
+
+class TestDrawIndices:
+    def test_draw_past_the_cdf_skips_a_zero_top_slot(self):
+        # cdf[-1] = 1 - 5e-11: the draw lies past it, and slot 1 has no
+        # probability, so it must land on slot 0.
+        state = QuantumState([math.sqrt(1 - 5e-11), 0.0])
+        cdf = np.cumsum(state.probabilities())
+        assert cdf[-1] < 1 - 1e-11
+        assert _draw_indices(cdf, np.array([0.5, 1 - 1e-11])).tolist() == [0, 0]
+
+    def test_draw_past_the_cdf_keeps_a_nonzero_top_slot(self):
+        state = QuantumState([0.0, math.sqrt(1 - 5e-11)])
+        cdf = np.cumsum(state.probabilities())
+        assert _draw_indices(cdf, np.array([0.0, 1 - 1e-11])).tolist() == [1, 1]
+
+
+class TestSparseCounts:
+    def hist(self):
+        state = amplitude_encode([1, 0, 2, 0, 0, 3, 1])
+        return measure_sample(state, 10_000, 4)
+
+    def test_behaves_as_the_dict_of_its_items(self):
+        counts = self.hist().counts
+        plain = dict(zip(counts.outcomes.tolist(), counts.shots.tolist()))
+        assert counts == plain and plain == counts
+        assert counts != {**plain, 99: 1}
+        assert len(counts) == len(plain) == 4
+        assert list(counts) == sorted(plain) == [0, 2, 5, 6]
+        assert list(counts.keys()) == [0, 2, 5, 6]
+        assert list(counts.values()) == [plain[k] for k in (0, 2, 5, 6)]
+        assert list(counts.items()) == sorted(plain.items())
+        assert (5, plain[5]) in counts.items()
+        assert plain[2] in counts.values()
+
+    def test_lookups(self):
+        counts = self.hist().counts
+        assert 5 in counts and np.int64(5) in counts
+        assert 1 not in counts and 7 not in counts and -1 not in counts
+        assert 2**70 not in counts and "5" not in counts
+        assert counts.get(1) is None and counts.get(1, 0) == 0
+        with pytest.raises(KeyError):
+            counts[3]
+        assert counts[0] == counts.get(0) > 0
+
+    def test_keys_and_values_are_python_ints(self):
+        counts = self.hist().counts
+        assert all(type(k) is int for k in counts)
+        assert all(type(v) is int for v in counts.values())
+        assert type(counts[5]) is int
+        assert all(type(k) is int and type(v) is int for k, v in counts.items())
+
+    def test_arrays_are_read_only(self):
+        counts = self.hist().counts
+        with pytest.raises(ValueError):
+            counts.outcomes[0] = 1
+        with pytest.raises(ValueError):
+            counts.shots[0] = 1
+
+    def test_frequency_of_an_unseen_outcome_is_zero(self):
+        hist = self.hist()
+        assert hist.frequency(1) == 0.0
+        assert hist.frequency(5) == hist.counts[5] / 10_000
+
+    def test_histogram_from_a_dict(self):
+        hist = OutcomeHistogram({3: 2, 0: 5}, 7)
+        assert isinstance(hist.counts, SparseCounts)
+        assert hist.counts.outcomes.tolist() == [0, 3]
+        assert hist == OutcomeHistogram(SparseCounts([0, 3], [5, 2]), 7)
+
+    def test_invalid_counts_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            OutcomeHistogram(SparseCounts([0, 1], [-1, 3]), 2)
+        with pytest.raises(ValueError, match="add up"):
+            OutcomeHistogram({0: 1, 1: 1}, 3)
+        with pytest.raises(ValueError, match="increase"):
+            SparseCounts([1, 1], [1, 1])
+        with pytest.raises(ValueError, match="1-D"):
+            SparseCounts([0, 1], [1])
+
+
+class TestOwnership:
+    def test_constructor_copies_the_callers_array(self):
+        arr = np.array([1.0, 0.0], dtype=np.complex128)
+        state = QuantumState(arr)
+        arr[0], arr[1] = 0.0, 1.0
+        assert state.amplitudes.tolist() == [1.0, 0.0]
+        assert arr.flags.writeable
+
+    def test_encoded_amplitudes_are_read_only(self):
+        assert not amplitude_encode([1, 2, 3]).amplitudes.flags.writeable
+
+
+class TestNormRange:
+    @pytest.mark.parametrize(
+        "values, want",
+        [
+            ([1e300, -1e300], [2**-0.5, -(2**-0.5)]),
+            ([1e-200, 1e-200], [2**-0.5, 2**-0.5]),
+            ([3e-170, 4e-170, 0.0], [0.6, 0.8, 0.0, 0.0]),
+            # Subnormal sums of squares whose roots are normal numbers.
+            ([3e-160, 4e-160], [0.6, 0.8]),
+            ([1e-160, 0.0], [1.0, 0.0]),
+            ([1.5e308, 1.5e308, 1.5e308, 1.5e308], [0.5] * 4),
+        ],
+    )
+    def test_sum_of_squares_out_of_float_range(self, values, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            state = amplitude_encode(values)
+        np.testing.assert_allclose(state.amplitudes, want, atol=1e-15)
+
+    def test_estimate_of_an_out_of_range_source(self):
+        got = estimate_expectation([1e300, 1e300], [0.0, 1.0], shots=100, seed=3)
+        assert got == estimate_expectation([1.0, 1.0], [0.0, 1.0], shots=100, seed=3)
+
+    def test_subnormal_entries_are_not_zero(self):
+        state = amplitude_encode([5e-324, 0.0])
+        assert state.amplitudes.tolist() == [1.0, 0.0]
