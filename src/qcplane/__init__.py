@@ -1,16 +1,11 @@
 """Hybrid classical-quantum control-plane accounting and simulation."""
 
 from .exchange import (
-    ConversionEvent,
-    DenseCodeCost,
     InfeasibleError,
     LinkLoad,
     ResourceLedger,
-    TeleportCost,
     TransferPlan,
     balance_link,
-    dense_code_cost,
-    teleport_cost,
 )
 from .netsim import (
     CollectionResult,

@@ -37,9 +37,6 @@ EXIT_VALIDATION = 3
 EXIT_IO = 4
 EXIT_INFEASIBLE = 5
 
-STATE_HEADER = ("index", "amplitude_real", "amplitude_imag", "probability")
-JOIN_HEADER = ("index", "address", "data_index", "amplitude_real", "amplitude_imag", "probability")
-
 
 class InputParseError(ValueError):
     """A vector input file could not be parsed."""
@@ -113,38 +110,45 @@ def emit(text: str, output: Path | None) -> None:
         write_atomic(output, text)
 
 
-def state_table(state: QuantumState) -> list[tuple]:
-    probs = state.probabilities()
-    return [
-        (i, float(a.real), float(a.imag), float(p))
-        for i, (a, p) in enumerate(zip(state.amplitudes, probs))
-    ]
+def state_text(state: QuantumState, fmt: str, joined: JoinedState | None = None) -> str:
+    """The `encode` or `join` state table in `fmt`.
 
-
-def state_json(state: QuantumState) -> dict:
-    return {
+    The table is one set of columns: index, then for a join the address and
+    the data index, then each amplitude's real and imaginary part and its
+    probability. The CSV prints every column; the JSON holds the amplitude
+    and probability columns with the state's width and, for a join, its
+    shape.
+    """
+    index = range(state.dim)
+    columns = {"index": list(index)}
+    if joined is not None:
+        block = 1 << joined.data_qubits
+        columns["address"] = [i // block for i in index]
+        columns["data_index"] = [i % block for i in index]
+    columns["amplitude_real"] = state.amplitudes.real.tolist()
+    columns["amplitude_imag"] = state.amplitudes.imag.tolist()
+    columns["probability"] = state.probabilities().tolist()
+    if fmt == "csv":
+        return csv_text(list(columns), zip(*columns.values()))
+    payload = {
         "num_qubits": state.num_qubits,
-        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
-        "probabilities": [float(p) for p in state.probabilities()],
+        "amplitudes": list(zip(columns["amplitude_real"], columns["amplitude_imag"])),
+        "probabilities": columns["probability"],
     }
+    if joined is not None:
+        payload.update(
+            num_sources=joined.num_sources,
+            data_qubits=joined.data_qubits,
+            address_qubits=joined.address_qubits,
+            weight_mode=joined.weight_mode.value,
+        )
+    return json_text(payload)
 
 
 def cmd_encode(args) -> int:
     state = amplitude_encode(read_vectors(Path(args.input), many=False)[0])
-    if args.format == "json":
-        text = json_text(state_json(state))
-    else:
-        text = csv_text(STATE_HEADER, state_table(state))
-    emit(text, resolve_output(args.output))
+    emit(state_text(state, args.format), resolve_output(args.output))
     return EXIT_OK
-
-
-def _joined_rows(joined: JoinedState) -> list[tuple]:
-    block = 1 << joined.data_qubits
-    rows = []
-    for i, (a, p) in enumerate(zip(joined.state.amplitudes, joined.state.probabilities())):
-        rows.append((i, i // block, i % block, float(a.real), float(a.imag), float(p)))
-    return rows
 
 
 def cmd_join(args) -> int:
@@ -154,20 +158,7 @@ def cmd_join(args) -> int:
         joined = qram_join(states, mode=WeightMode.UNIFORM)
     else:
         joined = join_from_raw(vectors)
-    if args.format == "json":
-        payload = state_json(joined.state)
-        payload.update(
-            {
-                "num_sources": joined.num_sources,
-                "data_qubits": joined.data_qubits,
-                "address_qubits": joined.address_qubits,
-                "weight_mode": joined.weight_mode.value,
-            }
-        )
-        text = json_text(payload)
-    else:
-        text = csv_text(JOIN_HEADER, _joined_rows(joined))
-    emit(text, resolve_output(args.output))
+    emit(state_text(joined.state, args.format, joined), resolve_output(args.output))
     return EXIT_OK
 
 

@@ -1,5 +1,5 @@
 """
-Scenario files: JSON schema, strict validation, and seed derivation.
+Scenario files: JSON schema and strict validation.
 
 A scenario is one JSON object (see README for the full schema):
 
@@ -18,10 +18,8 @@ A scenario is one JSON object (see README for the full schema):
 Validation walks fields in a fixed order and reports the first offender by
 its dotted path, so a bad file always produces the same diagnostic.
 
-All randomness in a scenario flows from the single `seed`: the stream for
-switch s of controller c is numpy's PCG64 seeded with
-SeedSequence(seed, spawn_key=(c, s)). Streams are a pure function of
-(seed, c, s), so per-switch sampling does not depend on execution order.
+The `seed` is recorded in report.json for provenance. The accounting is
+exact and draws nothing at random, so no other report byte depends on it.
 """
 from __future__ import annotations
 
@@ -29,8 +27,6 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .exchange import ResourceLedger
 from .netsim import EnergyModel, LinkSpec, TierLinks
@@ -67,11 +63,6 @@ class ScenarioConfig:
     sweep: SweepSpec | None
     seed: int
     mode: str
-
-
-def switch_rng(seed: int, controller: int, switch: int) -> np.random.Generator:
-    """Deterministic per-switch random stream derived from the scenario seed."""
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(controller, switch)))
 
 
 def _require(obj: dict, field: str, path: str):

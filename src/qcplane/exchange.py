@@ -13,29 +13,19 @@ feasible count, so such a scan reproduces the plan exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from typing import Callable
 
 
 class InfeasibleError(RuntimeError):
     """Even the best plan overflows both planes; the caller must queue.
 
-    Carries the plan in `.plan` so callers can still inspect or apply it.
+    Carries the plan in `.plan` so callers can still inspect it.
     """
 
     def __init__(self, message: str, plan: "TransferPlan"):
         super().__init__(message)
         self.plan = plan
-
-
-class TeleportCost(NamedTuple):
-    ebits: int
-    cbits: int
-
-
-class DenseCodeCost(NamedTuple):
-    ebits: int
-    qubits: int
 
 
 @dataclass(frozen=True)
@@ -51,21 +41,11 @@ class LinkLoad:
 
 
 @dataclass(frozen=True)
-class ConversionEvent:
-    """One applied plan: what was converted and what the ledger kept."""
-
-    qubits_teleported: int
-    cbits_densecoded: int
-    ebits_consumed: int
-    ebits_remaining: int
-
-
-@dataclass(frozen=True)
 class ResourceLedger:
     """Per-link ebit stock and per-round plane capacities.
 
-    Immutable: applying a plan returns a debited copy, so a ledger held in a
-    scenario always states the stock as given.
+    Immutable: a plan never debits it, so a ledger held in a scenario always
+    states the stock as given.
     """
 
     ebits: int
@@ -77,21 +57,6 @@ class ResourceLedger:
             raise ValueError("ebits must be >= 0")
         if self.classical_capacity <= 0 or self.quantum_capacity <= 0:
             raise ValueError("capacities must be > 0")
-
-    def apply(self, plan: "TransferPlan") -> tuple["ResourceLedger", ConversionEvent]:
-        """The ledger left after the plan's ebits are debited, and the conversion."""
-        if plan.ebits_consumed > self.ebits:
-            raise ValueError(
-                f"plan needs {plan.ebits_consumed} ebits, ledger holds {self.ebits}"
-            )
-        debited = replace(self, ebits=self.ebits - plan.ebits_consumed)
-        event = ConversionEvent(
-            qubits_teleported=plan.qubits_teleported,
-            cbits_densecoded=plan.cbits_densecoded,
-            ebits_consumed=plan.ebits_consumed,
-            ebits_remaining=debited.ebits,
-        )
-        return debited, event
 
 
 @dataclass(frozen=True)
@@ -113,25 +78,9 @@ class TransferPlan:
         return max(self.utilization)
 
 
-def teleport_cost(qubits: int) -> TeleportCost:
-    """Resources to move `qubits` via teleportation: 1 ebit + 2 cbits each."""
-    if qubits < 0:
-        raise ValueError("qubit count must be >= 0")
-    return TeleportCost(ebits=qubits, cbits=2 * qubits)
-
-
-def dense_code_cost(cbits: int) -> DenseCodeCost:
-    """Resources to move `cbits` via dense coding: 1 ebit + 1 qubit per 2 bits.
-
-    An odd trailing bit still occupies a full ebit/qubit pair.
-    """
-    if cbits < 0:
-        raise ValueError("cbit count must be >= 0")
-    pairs = (cbits + 1) // 2
-    return DenseCodeCost(ebits=pairs, qubits=pairs)
-
-
 def _plan(load: LinkLoad, ledger: ResourceLedger, x: int, y: int) -> TransferPlan:
+    """The plan that teleports x qubits and dense-codes 2y cbits: the one
+    place where the conversion rates are applied."""
     resulting = LinkLoad(load.cbits + 2 * x - 2 * y, load.qubits - x + y)
     utilization = (
         resulting.cbits / ledger.classical_capacity,

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import reporting
 from .config import ScenarioConfig, scenario_to_dict
-from .exchange import ConversionEvent, LinkLoad, TransferPlan, balance_link
+from .exchange import LinkLoad, TransferPlan, balance_link
 from .netsim import CollectionResult, simulate_collection
 from .scaling import (
     TopologySpec,
@@ -41,7 +41,7 @@ class BalanceOutcome:
     link: str
     demand: LinkLoad
     plan: TransferPlan
-    event: ConversionEvent
+    ebits_remaining: int
 
 
 def run_balancing(cfg: ScenarioConfig) -> list[BalanceOutcome]:
@@ -50,7 +50,7 @@ def run_balancing(cfg: ScenarioConfig) -> list[BalanceOutcome]:
     Demand per link is the classical bit load and the quantum qubit load
     that one round places on it, independent of the scenario's reporting
     mode (a balanced link carries both planes). The scenario's ledgers are
-    left as given; each outcome's event records the stock after its plan.
+    left as given; each outcome records the stock its plan leaves.
     """
     classical = classical_loads(cfg.topology)
     quantum = quantum_loads(cfg.topology)
@@ -64,8 +64,9 @@ def run_balancing(cfg: ScenarioConfig) -> list[BalanceOutcome]:
             continue
         ledger = cfg.ledgers[link]
         plan = balance_link(demands[link], ledger)
-        _, event = ledger.apply(plan)
-        outcomes.append(BalanceOutcome(link, demands[link], plan, event))
+        outcomes.append(
+            BalanceOutcome(link, demands[link], plan, ledger.ebits - plan.ebits_consumed)
+        )
     return outcomes
 
 
@@ -92,7 +93,7 @@ def energy_record(result: CollectionResult) -> dict:
 
 def plan_record(plan: TransferPlan, ebits_remaining: int | None = None) -> dict:
     """A plan's columns of a balance row; without a stock (the `balance`
-    command has no ledger to debit) the ebits_remaining column is left out."""
+    command prints the plan alone) the ebits_remaining column is left out."""
     record = {
         "qubits_teleported": plan.qubits_teleported,
         "cbits_densecoded": plan.cbits_densecoded,
@@ -113,7 +114,7 @@ def balance_record(outcome: BalanceOutcome) -> dict:
         "link": outcome.link,
         "cbits_demand": outcome.demand.cbits,
         "qubits_demand": outcome.demand.qubits,
-        **plan_record(outcome.plan, outcome.event.ebits_remaining),
+        **plan_record(outcome.plan, outcome.ebits_remaining),
     }
 
 

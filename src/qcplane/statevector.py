@@ -11,13 +11,14 @@ for in its qubits_sent figure.
 
 Sampling is inverse-CDF over the cumulative probability vector, driven by
 numpy's PCG64 generator (`numpy.random.default_rng`) seeded explicitly, so
-a (state, shots, seed) triple always reproduces the same histogram. The
-draws are searched in increasing order, so the search walks the CDF once
-instead of missing the cache on nearly every draw of a large state; each
-draw still gets the index of its own value, so the outcome of every shot is
-what a search in draw order gives. A histogram holds two arrays, the
-observed outcomes in increasing order and their shot counts, behind a
-read-only mapping; no Python object is built per outcome.
+a (state, shots, seed) triple always reproduces the same histogram. One
+path samples for both the histogram and the estimate: the draws are sorted
+and then searched, so the search walks the CDF once instead of missing the
+cache on nearly every draw of a large state. Each draw still gets the index
+of its own value, so the histogram is what a search in draw order gives,
+and the estimate sums its samples in increasing outcome order. A histogram
+holds two arrays, the observed outcomes in increasing order and their shot
+counts, behind a read-only mapping; no Python object is built per outcome.
 
 Signed telemetry is allowed; the sign survives in the amplitudes but is
 invisible to sampling and to diagonal observables, which only see squared
@@ -284,15 +285,13 @@ def _draw_indices(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return idx
 
 
-def _sorted_outcomes(state: QuantumState, shots: int, seed: int) -> np.ndarray:
-    """The outcomes of `shots` seeded draws, in increasing order.
+def _sorted_outcomes(cdf: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """The outcomes of `shots` seeded draws under `cdf`, in increasing order.
 
-    The counts depend only on the multiset of draws, so the draws are
-    sorted before the search. The CDF and the draws are freed on return,
-    before the histogram's arrays are built.
+    Both callers, the histogram and the estimate, use only the multiset of
+    outcomes, so the draws are sorted before the search. The draws are freed
+    on return; each caller frees its `cdf` before building on the outcomes.
     """
-    cdf = state.probabilities()
-    np.cumsum(cdf, out=cdf)
     draws = np.random.default_rng(seed).random(shots)
     draws.sort()
     return _draw_indices(cdf, draws)
@@ -302,7 +301,9 @@ def measure_sample(state: QuantumState, shots: int, seed: int) -> OutcomeHistogr
     """Draw `shots` computational-basis outcomes, deterministic per seed."""
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    idx = _sorted_outcomes(state, shots, seed)
+    cdf = state.probabilities()
+    idx = _sorted_outcomes(np.cumsum(cdf, out=cdf), shots, seed)
+    del cdf
     run_ends = np.empty(shots, dtype=bool)
     np.not_equal(idx[1:], idx[:-1], out=run_ends[:-1])
     run_ends[-1] = True
@@ -311,32 +312,6 @@ def measure_sample(state: QuantumState, shots: int, seed: int) -> OutcomeHistogr
     counts[0] = ends[0] + 1
     np.subtract(ends[1:], ends[:-1], out=counts[1:])
     return OutcomeHistogram(SparseCounts(idx[ends], counts), shots)
-
-
-def _samples_in_draw_order(
-    cdf: np.ndarray, obs: np.ndarray, shots: int, seed: int
-) -> np.ndarray:
-    """obs at the index of each of `shots` seeded draws, in draw order.
-
-    One in-place sort of packed keys puts the draws in increasing order:
-    the high bits of each draw's bit pattern (non-negative doubles order
-    like their bit patterns) above its position in the low bits. Draws that
-    agree in the high bits sort by position, but every draw is searched by
-    its own value, so that order only affects the speed.
-    """
-    draws = np.random.default_rng(seed).random(shots)
-    low = np.uint64((1 << (shots - 1).bit_length()) - 1)
-    keys = draws.view(np.uint64) & ~low
-    keys |= np.arange(shots, dtype=np.uint64)
-    keys.sort()
-    keys &= low
-    order = keys.view(np.int64)
-    picked = draws[order]
-    # The indices are in range; mode="clip" lets take write to `out`
-    # without a buffer, which the default mode="raise" allocates.
-    np.take(obs, _draw_indices(cdf, picked), out=picked, mode="clip")
-    draws[order] = picked  # the draws are spent: their buffer takes the samples
-    return draws
 
 
 def expectation(state: QuantumState, observable: ArrayLike) -> float:
@@ -360,8 +335,8 @@ def estimate_expectation(
     Every shot stands for one independent round in which the source vector
     is re-encoded and the fresh state measured once; nothing is reused
     between rounds. Encoding is deterministic, so the rounds share one
-    state value and the draws reduce to `shots` seeded i.i.d. samples.
-    qubits_sent counts the transfer cost of those rounds:
+    state value and the draws reduce to `shots` seeded i.i.d. samples,
+    which are summed in increasing outcome order. qubits_sent counts the transfer cost of those rounds:
     shots * ceil(log2(len(source))).
 
     The observable may be given at the source length (it is zero-padded
@@ -382,7 +357,9 @@ def estimate_expectation(
         raise DimensionMismatchError(
             f"observable has {obs.size} entries, want {vec.size} or {dim}"
         )
-    samples = _samples_in_draw_order(cdf, obs, shots, seed)
+    idx = _sorted_outcomes(cdf, shots, seed)
+    del cdf
+    samples = obs[idx]
     estimate = float(np.mean(samples))
     std_error = float(np.std(samples, ddof=1) / math.sqrt(shots))
     return EstimateResult(estimate, std_error, shots * (dim.bit_length() - 1))

@@ -165,12 +165,16 @@ def test_09_sampling_statistics():
 
 
 def test_10_exchange_ratios_and_balance_optimality():
-    from qcplane.exchange import dense_code_cost, teleport_cost
-
-    ok = all(teleport_cost(q) == (q, 2 * q) for q in range(10_001))
-    ok = ok and all(
-        dense_code_cost(c) == ((c + 1) // 2, (c + 1) // 2) for c in range(10_001)
-    )
+    def rates_hold(plan, load):
+        """1 ebit + 2 cbits per teleported qubit, 1 ebit + 1 qubit per 2
+        dense-coded cbits, one direction per plan."""
+        x, y = plan.qubits_teleported, plan.cbits_densecoded // 2
+        return (
+            x * y == 0
+            and plan.resulting_load.cbits == load.cbits + 2 * x - 2 * y
+            and plan.resulting_load.qubits == load.qubits - x + y
+            and plan.ebits_consumed == x + y
+        )
 
     def oracle(load, ledger):
         best = None
@@ -188,6 +192,7 @@ def test_10_exchange_ratios_and_balance_optimality():
             best = min(best, u)
         return best
 
+    ok = True
     rng = np.random.default_rng(12345)
     for cbits in range(0, 201):
         for qubits in range(0, 201):
@@ -198,10 +203,10 @@ def test_10_exchange_ratios_and_balance_optimality():
                 quantum_capacity=int(rng.integers(1, 401)),
             )
             try:
-                got = balance_link(load, ledger).max_utilization
+                plan = balance_link(load, ledger)
             except InfeasibleError as exc:
-                got = exc.plan.max_utilization
-            if got != oracle(load, ledger):
+                plan = exc.plan
+            if not rates_hold(plan, load) or plan.max_utilization != oracle(load, ledger):
                 ok = False
                 break
         if not ok:

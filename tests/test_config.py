@@ -2,7 +2,6 @@ import json
 import math
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from qcplane.config import (
@@ -11,7 +10,6 @@ from qcplane.config import (
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
-    switch_rng,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -156,26 +154,3 @@ class TestRoundTrip:
         assert again.links == cfg.links
         assert again.energy == cfg.energy
         assert again.seed == cfg.seed and again.mode == cfg.mode
-
-
-class TestSwitchRng:
-    def test_streams_are_reproducible(self):
-        a = switch_rng(7, controller=3, switch=5).random(8)
-        b = switch_rng(7, controller=3, switch=5).random(8)
-        np.testing.assert_array_equal(a, b)
-
-    def test_streams_are_distinct_per_switch(self):
-        a = switch_rng(7, 0, 0).random(8)
-        b = switch_rng(7, 0, 1).random(8)
-        c = switch_rng(7, 1, 0).random(8)
-        assert not np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-
-    def test_order_independent(self):
-        # Deriving stream (2, 4) is unaffected by which streams were made before.
-        first = switch_rng(11, 2, 4).random(4)
-        for c in range(3):
-            for s in range(5):
-                switch_rng(11, c, s)
-        again = switch_rng(11, 2, 4).random(4)
-        np.testing.assert_array_equal(first, again)

@@ -275,11 +275,17 @@ def oracle_histogram(state: QuantumState, shots: int, seed: int) -> dict[int, in
     return {int(v): int(c) for v, c in zip(values, counts)}
 
 
-def oracle_estimate(source, observable, shots: int, seed: int) -> EstimateResult:
-    state = oracle_encode(source)
-    obs = np.zeros(state.dim)
+def padded_observable(source, observable) -> np.ndarray:
+    obs = np.zeros(1 << int(len(source) - 1).bit_length())
     obs[: len(observable)] = observable
-    samples = obs[oracle_indices(state, shots, seed)]
+    return obs
+
+
+def oracle_estimate(source, observable, shots: int, seed: int) -> EstimateResult:
+    """The statistics of the draw-order search's samples, summed in
+    increasing outcome order."""
+    state = oracle_encode(source)
+    samples = padded_observable(source, observable)[np.sort(oracle_indices(state, shots, seed))]
     return EstimateResult(
         float(np.mean(samples)),
         float(np.std(samples, ddof=1) / math.sqrt(shots)),
@@ -327,6 +333,10 @@ class TestSamplerOracle:
         observable = rng.standard_normal(width)
         got = estimate_expectation(source, observable, shots, seed)
         assert tuple(got) == tuple(oracle_estimate(source, observable, shots, seed))
+        # Only the summation order differs from the mean in draw order.
+        obs = padded_observable(source, observable)
+        in_draw_order = np.mean(obs[oracle_indices(oracle_encode(source), shots, seed)])
+        assert abs(got.estimate - in_draw_order) <= 1e-12 * np.max(np.abs(obs))
 
     def test_eighteen_qubits_one_hundred_thousand_shots(self):
         rng = np.random.default_rng(18)
