@@ -11,6 +11,9 @@ entry), 4 I/O error, 5 infeasible balance.
 
 When QCPLANE_OUTPUT_DIR is set, relative --output paths resolve under it
 and it becomes the default report directory for `run`.
+
+Only `encode` and `join` import the statevector layer, and with it numpy,
+when they run; the accounting subcommands never load numpy.
 """
 from __future__ import annotations
 
@@ -21,15 +24,18 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import runner
 from .config import ScenarioParseError, ScenarioValidationError, load_scenario
 from .exchange import InfeasibleError, LinkLoad, ResourceLedger, balance_link
 from .netsim import simulate_collection
-from .qram import JoinedState, WeightMode, join_from_raw, qram_join
 from .reporting import csv_text, json_text, table_csv, write_atomic
 from .scaling import TopologySpec, scaling_table
-from .statevector import QuantumState, amplitude_encode
+
+if TYPE_CHECKING:
+    from .qram import JoinedState
+    from .statevector import QuantumState
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -146,12 +152,17 @@ def state_text(state: QuantumState, fmt: str, joined: JoinedState | None = None)
 
 
 def cmd_encode(args) -> int:
+    from .statevector import amplitude_encode
+
     state = amplitude_encode(read_vectors(Path(args.input), many=False)[0])
     emit(state_text(state, args.format), resolve_output(args.output))
     return EXIT_OK
 
 
 def cmd_join(args) -> int:
+    from .qram import WeightMode, join_from_raw, qram_join
+    from .statevector import amplitude_encode
+
     vectors = read_vectors(Path(args.input), many=True)
     if args.weight_mode == "uniform":
         states = [amplitude_encode(v) for v in vectors]
@@ -171,6 +182,8 @@ def _sweep_values(args) -> list[int]:
         return values
     if args.start is None or args.stop is None:
         raise InputParseError("provide either --values or both --from and --to")
+    if args.start < 1:
+        raise InputParseError(f"--from must be >= 1, got {args.start}")
     if args.factor < 2:
         raise InputParseError("--factor must be >= 2")
     values, v = [], args.start

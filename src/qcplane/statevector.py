@@ -213,9 +213,6 @@ class OutcomeHistogram:
         if int(shots.sum()) != self.total_shots:
             raise ValueError("counts do not add up to total_shots")
 
-    def frequency(self, outcome: int) -> float:
-        return self.counts.get(outcome, 0) / self.total_shots
-
 
 class EstimateResult(NamedTuple):
     estimate: float
@@ -364,11 +361,3 @@ def estimate_expectation(
     std_error = float(np.std(samples, ddof=1) / math.sqrt(shots))
     return EstimateResult(estimate, std_error, shots * (dim.bit_length() - 1))
 
-
-def inner_product(a: QuantumState, b: QuantumState) -> complex:
-    """Hermitian inner product <a|b>; magnitude is at most 1 for unit states."""
-    if a.num_qubits != b.num_qubits:
-        raise DimensionMismatchError(
-            f"states have {a.num_qubits} and {b.num_qubits} qubits"
-        )
-    return complex(np.vdot(a.amplitudes, b.amplitudes))

@@ -21,7 +21,7 @@ from qcplane.scaling import (
     qubits_for_parameters,
     scaling_table,
 )
-from qcplane.statevector import amplitude_encode, estimate_expectation, inner_product
+from qcplane.statevector import amplitude_encode, estimate_expectation
 
 REPO = Path(__file__).resolve().parent.parent
 PAPER_EXAMPLE = REPO / "scenarios" / "paper_example.json"
@@ -150,7 +150,7 @@ def test_08_round_trip_fidelity():
         joined = join_from_raw(vectors)
         for k, v in enumerate(vectors):
             branch = address_marginal(joined, k)
-            fidelity = abs(inner_product(branch.conditional, amplitude_encode(v)))
+            fidelity = abs(np.vdot(branch.conditional.amplitudes, amplitude_encode(v).amplitudes))
             ok = ok and fidelity >= 1 - 1e-10
     verdict(8, "every joined branch recovered with fidelity >= 1-1e-10", ok)
 

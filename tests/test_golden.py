@@ -10,11 +10,17 @@ normalisation is the report directory that `run` prints, which becomes
     python tests/test_golden.py
 
 and list the change in CHANGES.md.
+
+Every case but `encode` and `join` also runs in a child process in which
+numpy cannot be imported, and must give the same bytes there: the
+accounting path never loads numpy.
 """
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -27,6 +33,8 @@ INPUTS = GOLDEN / "inputs"
 PAPER = str(REPO / "scenarios" / "paper_example.json")
 DESK = str(REPO / "scenarios" / "desk_example.json")
 OUT = "<out>"
+# Runs `qcplane argv` with every import of numpy failing.
+NO_NUMPY = "import sys; sys.modules['numpy'] = None; from qcplane.cli import main; sys.exit(main(sys.argv[1:]))"
 
 BASE = {
     "encode-json": ["encode", "--input", str(INPUTS / "vector.json")],
@@ -69,8 +77,23 @@ def execute(argv: list[str], outdir: Path) -> tuple[int, str, str, dict[str, byt
     argv = [str(outdir) if arg == OUT else arg for arg in argv]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())} if outdir.exists() else {}
-    return code, out.getvalue().replace(str(outdir), OUT), err.getvalue(), files
+    return code, out.getvalue().replace(str(outdir), OUT), err.getvalue(), written(outdir)
+
+
+def execute_without_numpy(argv: list[str], outdir: Path) -> tuple[int, str, str, dict[str, bytes]]:
+    """As `execute`, in a child process where numpy cannot be imported."""
+    argv = [str(outdir) if arg == OUT else arg for arg in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY, *argv],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True, timeout=60,
+    )
+    stdout = proc.stdout.decode("utf-8").replace(str(outdir), OUT)
+    return proc.returncode, stdout, proc.stderr.decode("utf-8"), written(outdir)
+
+
+def written(outdir: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(outdir.iterdir())} if outdir.exists() else {}
 
 
 @pytest.fixture(scope="module")
@@ -78,16 +101,31 @@ def status():
     return json.loads((GOLDEN / "status.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_output_matches_golden(case, status, tmp_path):
-    code, stdout, stderr, files = execute(CASES[case], tmp_path / "out")
+def assert_golden(case, status, code, stdout, stderr, files):
     assert {"exit": code, "stderr": stderr} == status[case]
     assert stdout.encode("utf-8") == (GOLDEN / f"{case}.stdout").read_bytes()
-    golden_dir = GOLDEN / case
-    want = {p.name: p.read_bytes() for p in sorted(golden_dir.iterdir())} if golden_dir.is_dir() else {}
+    want = written(GOLDEN / case)
     assert sorted(files) == sorted(want)
     for name in want:
         assert files[name] == want[name], name
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_output_matches_golden(case, status, tmp_path):
+    assert_golden(case, status, *execute(CASES[case], tmp_path / "out"))
+
+
+@pytest.mark.parametrize("case", sorted(c for c in CASES if not c.startswith(("encode", "join"))))
+def test_accounting_case_matches_golden_without_numpy(case, status, tmp_path):
+    assert_golden(case, status, *execute_without_numpy(CASES[case], tmp_path / "out"))
+
+
+@pytest.mark.parametrize("case", ["encode-json-csv", "join-json-csv"])
+def test_statevector_cases_need_numpy(case, tmp_path):
+    # The other side of the probe: a subcommand that does use numpy fails in it.
+    code, stdout, stderr, _ = execute_without_numpy(CASES[case], tmp_path / "out")
+    assert code != 0 and stdout == ""
+    assert "ModuleNotFoundError: import of numpy halted" in stderr
 
 
 def test_every_golden_file_belongs_to_a_case():

@@ -15,7 +15,7 @@ from qcplane.qram import (
     join_from_raw,
     qram_join,
 )
-from qcplane.statevector import amplitude_encode, inner_product
+from qcplane.statevector import amplitude_encode
 
 
 def concat_oracle(vectors):
@@ -232,5 +232,5 @@ class TestAddressMarginal:
             joined = join_from_raw(vectors)
             for k, v in enumerate(vectors):
                 branch = address_marginal(joined, k)
-                fidelity = abs(inner_product(branch.conditional, amplitude_encode(v)))
+                fidelity = abs(np.vdot(branch.conditional.amplitudes, amplitude_encode(v).amplitudes))
                 assert fidelity >= 1 - 1e-10

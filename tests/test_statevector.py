@@ -19,7 +19,6 @@ from qcplane.statevector import (
     amplitude_encode,
     estimate_expectation,
     expectation,
-    inner_product,
     measure_sample,
 )
 
@@ -116,12 +115,12 @@ class TestMeasureSample:
     def test_uniform_qubit_frequency(self):
         # Binomial oracle: p=0.5, sigma = sqrt(0.25/1e6) = 5e-4; bound 0.002.
         hist = measure_sample(amplitude_encode([1, 1]), shots=10**6, seed=7)
-        assert hist.frequency(0) == pytest.approx(0.5, abs=0.002)
+        assert hist.counts.get(0, 0) / hist.total_shots == pytest.approx(0.5, abs=0.002)
 
     def test_biased_qubit_frequency(self):
         # p(1) = (4/5)^2 = 0.64; 3 sigma = 3*sqrt(0.64*0.36/1e6) ~ 0.0015.
         hist = measure_sample(amplitude_encode([3, 4]), shots=10**6, seed=11)
-        assert hist.frequency(1) == pytest.approx(0.64, abs=0.0015)
+        assert hist.counts.get(1, 0) / hist.total_shots == pytest.approx(0.64, abs=0.0015)
 
     def test_counts_sum_to_shots(self):
         hist = measure_sample(amplitude_encode([1, 2, 3, 4, 5]), shots=4321, seed=5)
@@ -157,7 +156,7 @@ def test_measurement_frequencies_match_probabilities_within_4_sigma():
         hist = measure_sample(state, shots=shots, seed=master * 1000 + m)
         for i, p in enumerate(state.probabilities()):
             sigma = math.sqrt(p * (1 - p) / shots)
-            freq = hist.frequency(i)
+            freq = hist.counts.get(i, 0) / hist.total_shots
             if sigma == 0.0:
                 assert freq == p
             else:
@@ -224,30 +223,6 @@ class TestEstimateExpectation:
         a = estimate_expectation([2, 5, 1], [1, 2, 3], shots=200, seed=seed)
         b = estimate_expectation([2, 5, 1], [1, 2, 3], shots=200, seed=seed)
         assert a == b
-
-
-class TestInnerProduct:
-    @given(vectors)
-    def test_self_overlap_is_one(self, v):
-        state = amplitude_encode(v)
-        assert inner_product(state, state) == pytest.approx(1.0, abs=1e-10)
-
-    def test_orthogonal_basis_states(self):
-        assert inner_product(basis_state(0, 1), basis_state(1, 1)) == 0
-
-    def test_overlap_with_uniform(self):
-        got = inner_product(basis_state(0, 1), amplitude_encode([1, 1]))
-        assert got == pytest.approx(1 / math.sqrt(2), abs=1e-12)
-
-    @given(vectors, vectors)
-    @settings(max_examples=50)
-    def test_magnitude_bounded_by_one(self, a, b):
-        sa, sb = amplitude_encode(a), amplitude_encode(b)
-        if sa.num_qubits != sb.num_qubits:
-            with pytest.raises(DimensionMismatchError):
-                inner_product(sa, sb)
-        else:
-            assert abs(inner_product(sa, sb)) <= 1 + 1e-10
 
 
 # --- the sampler searched in draw order, kept as the oracle ------------------
@@ -409,8 +384,8 @@ class TestSparseCounts:
 
     def test_frequency_of_an_unseen_outcome_is_zero(self):
         hist = self.hist()
-        assert hist.frequency(1) == 0.0
-        assert hist.frequency(5) == hist.counts[5] / 10_000
+        assert hist.counts.get(1, 0) / hist.total_shots == 0.0
+        assert hist.counts.get(5, 0) / hist.total_shots == hist.counts[5] / 10_000
 
     def test_histogram_from_a_dict(self):
         hist = OutcomeHistogram({3: 2, 0: 5}, 7)
