@@ -179,6 +179,9 @@ def _sweep_values(args) -> list[int]:
             values = [int(tok) for tok in args.values.split(",")]
         except ValueError as exc:
             raise InputParseError(f"--values must be comma-separated integers: {exc}") from exc
+        for value in values:
+            if value < 1:
+                raise InputParseError(f"--values must be >= 1, got {value}")
         return values
     if args.start is None or args.stop is None:
         raise InputParseError("provide either --values or both --from and --to")

@@ -5,7 +5,7 @@ A scenario is one JSON object (see README for the full schema):
 
     {
       "topology": {"num_controllers": ..., "switches_per_controller": ...,
-                   "params_per_switch": ..., "bits_per_param": 1, "shots": 1},
+                   "params_per_switch": ..., "bits_per_param": ..., "shots": ...},
       "links": {"leaf": {...}, "mid": {...}},
       "energy": {...},
       "ledgers": {"leaf": {"ebits": ..., "classical_capacity": ...,
@@ -15,8 +15,12 @@ A scenario is one JSON object (see README for the full schema):
       "mode": "classical" | "quantum" | "both"
     }
 
-Validation walks fields in a fixed order and reports the first offender by
-its dotted path, so a bad file always produces the same diagnostic.
+The dataclasses state the schema once: the walk order, the allowed keys and
+the defaults of each section are the fields of `TopologySpec`,
+`TierLinks`/`LinkSpec`, `EnergyModel` and `ResourceLedger`, and the top-level
+keys are those of `ScenarioConfig`. Validation walks them in that order and
+reports the first offender by its dotted path, so a bad file always produces
+the same diagnostic.
 
 The `seed` is recorded in report.json for provenance. The accounting is
 exact and draws nothing at random, so no other report byte depends on it.
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .exchange import ResourceLedger
@@ -33,7 +37,6 @@ from .netsim import EnergyModel, LinkSpec, TierLinks
 from .scaling import TopologySpec, UnknownParameterError, normalize_sweep_parameter
 
 MODES = ("classical", "quantum", "both")
-LEDGER_LINKS = ("leaf", "mid")
 
 
 class ScenarioParseError(ValueError):
@@ -71,18 +74,18 @@ def _require(obj: dict, field: str, path: str):
     return obj[field]
 
 
-def _reject_unknown(obj: dict, allowed: tuple[str, ...], path: str):
+def _reject_unknown(obj: dict, allowed: list[str], path: str):
     for key in obj:
         if key not in allowed:
             raise ScenarioValidationError(f"{path}{key}", "unknown field")
 
 
-def _int_field(obj: dict, field: str, path: str, minimum: int = 1, default=None) -> int:
-    if field not in obj:
-        if default is not None:
-            return default
-        raise ScenarioValidationError(f"{path}{field}", "missing required field")
-    value = obj[field]
+def _names(cls) -> list[str]:
+    return [f.name for f in fields(cls)]
+
+
+def _int_field(obj: dict, field: str, path: str, minimum: int = 1) -> int:
+    value = _require(obj, field, path)
     if not isinstance(value, int) or isinstance(value, bool):
         raise ScenarioValidationError(f"{path}{field}", f"must be an integer, got {value!r}")
     if value < minimum:
@@ -109,9 +112,7 @@ def _number(obj: dict, field: str, path: str) -> float:
     return number
 
 
-def _pos_number(obj: dict, field: str, path: str, default=None) -> float:
-    if field not in obj and default is not None:
-        return default
+def _pos_number(obj: dict, field: str, path: str) -> float:
     number = _number(obj, field, path)
     if not number > 0:
         raise ScenarioValidationError(f"{path}{field}", f"must be > 0, got {obj[field]}")
@@ -125,88 +126,51 @@ def _nonneg_number(obj: dict, field: str, path: str) -> float:
     return number
 
 
-def _topology(obj) -> TopologySpec:
+def _section(cls, obj, path: str, read):
+    """Build dataclass `cls` from the JSON object `obj` found at `path`.
+
+    The allowed keys, their order and the optional ones are the fields of
+    `cls`: an unknown key is rejected, each present or required field is
+    read by `read(obj, name, prefix)`, and an absent field with a default
+    keeps the dataclass's own default.
+    """
     if not isinstance(obj, dict):
-        raise ScenarioValidationError("topology", "must be an object")
-    path = "topology."
-    _reject_unknown(
-        obj,
-        ("num_controllers", "switches_per_controller", "params_per_switch",
-         "bits_per_param", "shots"),
-        path,
-    )
-    return TopologySpec(
-        num_controllers=_int_field(obj, "num_controllers", path),
-        switches_per_controller=_int_field(obj, "switches_per_controller", path),
-        params_per_switch=_int_field(obj, "params_per_switch", path),
-        bits_per_param=_int_field(obj, "bits_per_param", path, default=1),
-        shots=_int_field(obj, "shots", path, default=1),
-    )
+        raise ScenarioValidationError(path, "must be an object")
+    prefix = f"{path}."
+    schema = fields(cls)
+    _reject_unknown(obj, [f.name for f in schema], prefix)
+    return cls(**{
+        f.name: read(obj, f.name, prefix)
+        for f in schema
+        if f.name in obj or f.default is MISSING
+    })
 
 
-def _link(obj, path: str) -> LinkSpec:
-    if not isinstance(obj, dict):
-        raise ScenarioValidationError(path.rstrip("."), "must be an object")
-    _reject_unknown(
-        obj,
-        ("capacity", "q_capacity", "length", "propagation_speed", "per_message_processing"),
-        path,
-    )
-    return LinkSpec(
-        capacity=_pos_number(obj, "capacity", path),
-        q_capacity=_pos_number(obj, "q_capacity", path),
-        length=_pos_number(obj, "length", path),
-        propagation_speed=_pos_number(obj, "propagation_speed", path, default=2.0e8),
-        per_message_processing=_pos_number(obj, "per_message_processing", path, default=1e-6),
-    )
+def _link_field(obj: dict, field: str, path: str) -> LinkSpec:
+    return _section(LinkSpec, _require(obj, field, path), f"{path}{field}", _pos_number)
 
 
-def _energy(obj) -> EnergyModel:
-    if not isinstance(obj, dict):
-        raise ScenarioValidationError("energy", "must be an object")
-    path = "energy."
-    _reject_unknown(
-        obj,
-        ("per_bit_tx", "per_instruction", "instructions_per_bit_processed",
-         "bandwidth_scaling"),
-        path,
-    )
-    return EnergyModel(
-        per_bit_tx=_nonneg_number(obj, "per_bit_tx", path),
-        per_instruction=_nonneg_number(obj, "per_instruction", path),
-        instructions_per_bit_processed=_nonneg_number(
-            obj, "instructions_per_bit_processed", path
-        ),
-        bandwidth_scaling=_nonneg_number(obj, "bandwidth_scaling", path),
-    )
+def _ledger_field(obj: dict, field: str, path: str) -> int:
+    return _int_field(obj, field, path, minimum=0 if field == "ebits" else 1)
 
 
 def _ledgers(obj) -> dict[str, ResourceLedger]:
     if not isinstance(obj, dict):
         raise ScenarioValidationError("ledgers", "must be an object")
-    _reject_unknown(obj, LEDGER_LINKS, "ledgers.")
-    ledgers = {}
-    for link in LEDGER_LINKS:
-        if link not in obj:
-            continue
-        entry = obj[link]
-        path = f"ledgers.{link}."
-        if not isinstance(entry, dict):
-            raise ScenarioValidationError(f"ledgers.{link}", "must be an object")
-        _reject_unknown(entry, ("ebits", "classical_capacity", "quantum_capacity"), path)
-        ledgers[link] = ResourceLedger(
-            ebits=_int_field(entry, "ebits", path, minimum=0),
-            classical_capacity=_int_field(entry, "classical_capacity", path),
-            quantum_capacity=_int_field(entry, "quantum_capacity", path),
-        )
-    return ledgers
+    links = _names(TierLinks)
+    _reject_unknown(obj, links, "ledgers.")
+    return {
+        link: _section(ResourceLedger, obj[link], f"ledgers.{link}", _ledger_field)
+        for link in links
+        if link in obj
+    }
 
 
 def _sweep(obj) -> SweepSpec:
     if not isinstance(obj, dict):
         raise ScenarioValidationError("sweep", "must be an object")
     path = "sweep."
-    _reject_unknown(obj, ("parameter", "values"), path)
+    _reject_unknown(obj, _names(SweepSpec), path)
     parameter = _require(obj, "parameter", path)
     if not isinstance(parameter, str):
         raise ScenarioValidationError("sweep.parameter", "must be a string")
@@ -229,19 +193,10 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Validate a parsed scenario object, reporting the first bad field."""
     if not isinstance(data, dict):
         raise ScenarioParseError("scenario must be a JSON object")
-    _reject_unknown(
-        data, ("topology", "links", "energy", "ledgers", "sweep", "seed", "mode"), ""
-    )
-    topology = _topology(_require(data, "topology", ""))
-    links_obj = _require(data, "links", "")
-    if not isinstance(links_obj, dict):
-        raise ScenarioValidationError("links", "must be an object")
-    _reject_unknown(links_obj, ("leaf", "mid"), "links.")
-    links = TierLinks(
-        leaf=_link(_require(links_obj, "leaf", "links."), "links.leaf."),
-        mid=_link(_require(links_obj, "mid", "links."), "links.mid."),
-    )
-    energy = _energy(_require(data, "energy", ""))
+    _reject_unknown(data, _names(ScenarioConfig), "")
+    topology = _section(TopologySpec, _require(data, "topology", ""), "topology", _int_field)
+    links = _section(TierLinks, _require(data, "links", ""), "links", _link_field)
+    energy = _section(EnergyModel, _require(data, "energy", ""), "energy", _nonneg_number)
     ledgers = _ledgers(data["ledgers"]) if "ledgers" in data else {}
     sweep = _sweep(data["sweep"]) if "sweep" in data else None
     seed = data.get("seed")

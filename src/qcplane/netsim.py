@@ -18,7 +18,7 @@ comes from the load alone, not from technology constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .scaling import (
     LoadReport,
@@ -27,8 +27,6 @@ from .scaling import (
     classical_loads,
     quantum_loads,
 )
-
-PROPAGATION_SPEED_DEFAULT = 2.0e8  # m/s, signal speed in fiber
 
 
 class ZeroBandwidthError(ValueError):
@@ -42,20 +40,14 @@ class LinkSpec:
     capacity: float  # bits/second
     q_capacity: float  # qubits/second
     length: float  # meters
-    propagation_speed: float = PROPAGATION_SPEED_DEFAULT
+    propagation_speed: float = 2.0e8  # m/s, signal speed in fiber
     per_message_processing: float = 1e-6  # seconds
 
     def __post_init__(self):
-        for name in (
-            "capacity",
-            "q_capacity",
-            "length",
-            "propagation_speed",
-            "per_message_processing",
-        ):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+                raise ValueError(f"{f.name} must be finite and > 0, got {value!r}")
 
     def rate(self, unit: Unit) -> float:
         return self.capacity if unit is Unit.BITS else self.q_capacity
@@ -87,15 +79,10 @@ class EnergyModel:
     bandwidth_scaling: float  # reference bandwidth, bits/second
 
     def __post_init__(self):
-        for name in (
-            "per_bit_tx",
-            "per_instruction",
-            "instructions_per_bit_processed",
-            "bandwidth_scaling",
-        ):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (value >= 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+                raise ValueError(f"{f.name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ scaling every transfer count but not the final aggregate state width.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from typing import Iterable
 
@@ -40,16 +40,10 @@ class TopologySpec:
     shots: int = 1
 
     def __post_init__(self):
-        for name in (
-            "num_controllers",
-            "switches_per_controller",
-            "params_per_switch",
-            "bits_per_param",
-            "shots",
-        ):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+                raise ValueError(f"{f.name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)

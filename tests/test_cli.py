@@ -179,22 +179,27 @@ class TestScale:
         code, _, _ = run_cli(capsys, "scale", "--sweep", "K", "--from", "2")
         assert code == 2
 
-    @pytest.mark.parametrize("start", ["0", "-1"])
-    def test_from_below_one_exits_2_naming_it(self, start):
-        # A start below 1 never grows geometrically. Run it in a child with a
-        # time limit and a 1 GiB address-space cap, so an endless sweep
-        # fails this test instead of hanging the suite or filling memory.
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--from", "0"), ("--from", "-1"), ("--values", "0"), ("--values", "-1")],
+        ids=["0", "-1", "values0", "values-1"],
+    )
+    def test_from_below_one_exits_2_naming_it(self, flag, value):
+        # A start below 1 never grows geometrically, and a listed value below
+        # 1 is no topology. Run it in a child with a time limit and a 1 GiB
+        # address-space cap, so an endless sweep fails this test instead of
+        # hanging the suite or filling memory.
         def cap_memory():
             resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
 
         proc = subprocess.run(
-            [sys.executable, "-m", "qcplane", "scale", "--sweep", "K", "--from", start, "--to", "8"],
+            [sys.executable, "-m", "qcplane", "scale", "--sweep", "K", flag, value, "--to", "8"],
             env={**os.environ, "PYTHONPATH": str(REPO / "src")},
             capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
         )
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
-        assert proc.stderr == f"error: --from must be >= 1, got {start}\n"
+        assert proc.stderr == f"error: {flag} must be >= 1, got {value}\n"
 
     def test_byte_identical_output(self, tmp_path, capsys):
         argv = ["scale", "--sweep", "P", "--values", "2,64,2000"]

@@ -11,6 +11,8 @@ from qcplane.config import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from qcplane.netsim import LinkSpec
+from qcplane.scaling import TopologySpec
 
 REPO = Path(__file__).resolve().parent.parent
 PAPER_EXAMPLE = REPO / "scenarios" / "paper_example.json"
@@ -47,35 +49,52 @@ class TestValidation:
 
     def test_minimal_scenario_fills_defaults(self):
         cfg = scenario_from_dict(minimal_scenario())
-        assert cfg.topology.bits_per_param == 1
-        assert cfg.topology.shots == 1
-        assert cfg.links.leaf.propagation_speed == 2e8
+        assert cfg.topology.bits_per_param == TopologySpec.bits_per_param == 1
+        assert cfg.topology.shots == TopologySpec.shots == 1
+        for link in (cfg.links.leaf, cfg.links.mid):
+            assert link.propagation_speed == LinkSpec.propagation_speed == 2e8
+            assert link.per_message_processing == LinkSpec.per_message_processing == 1e-6
         assert cfg.ledgers == {}
         assert cfg.sweep is None
 
     @pytest.mark.parametrize(
-        "mutate,field",
+        "mutate,message",
         [
-            (lambda d: d.pop("topology"), "topology"),
-            (lambda d: d["topology"].pop("params_per_switch"), "topology.params_per_switch"),
-            (lambda d: d["topology"].update(params_per_switch=0), "topology.params_per_switch"),
-            (lambda d: d["topology"].update(shots="many"), "topology.shots"),
-            (lambda d: d["links"].pop("mid"), "links.mid"),
-            (lambda d: d["links"]["leaf"].update(capacity=-1), "links.leaf.capacity"),
-            (lambda d: d["energy"].update(per_bit_tx=-2), "energy.per_bit_tx"),
-            (lambda d: d.update(seed="zero"), "seed"),
-            (lambda d: d.pop("seed"), "seed"),
-            (lambda d: d.update(mode="fancy"), "mode"),
-            (lambda d: d.update(unexpected=1), "unexpected"),
-            (lambda d: d["topology"].update(extra=2), "topology.extra"),
+            (lambda d: d.pop("topology"), "topology: missing required field"),
+            (lambda d: d["topology"].pop("params_per_switch"),
+             "topology.params_per_switch: missing required field"),
+            (lambda d: d["topology"].update(params_per_switch=0),
+             "topology.params_per_switch: must be >= 1, got 0"),
+            (lambda d: d["topology"].update(shots="many"),
+             "topology.shots: must be an integer, got 'many'"),
+            (lambda d: d["links"].pop("mid"), "links.mid: missing required field"),
+            (lambda d: d["links"]["leaf"].update(capacity=-1),
+             "links.leaf.capacity: must be > 0, got -1"),
+            (lambda d: d["energy"].update(per_bit_tx=-2), "energy.per_bit_tx: must be >= 0, got -2"),
+            (lambda d: d.update(seed="zero"), "seed: must be present and an integer"),
+            (lambda d: d.pop("seed"), "seed: must be present and an integer"),
+            (lambda d: d.update(mode="fancy"),
+             "mode: must be one of ('classical', 'quantum', 'both'), got 'fancy'"),
+            (lambda d: d.update(unexpected=1), "unexpected: unknown field"),
+            (lambda d: d["topology"].update(extra=2), "topology.extra: unknown field"),
+            (lambda d: d["links"].update(leaf=[1]), "links.leaf: must be an object"),
+            (lambda d: d["links"]["mid"].update(speed=3e8), "links.mid.speed: unknown field"),
+            (lambda d: d["energy"].pop("bandwidth_scaling"),
+             "energy.bandwidth_scaling: missing required field"),
+            (lambda d: d.update(ledgers={"mid": 5}), "ledgers.mid: must be an object"),
+            (lambda d: d.update(ledgers={"mid": {"ebits": 1, "classical_capacity": 2,
+                                                 "quantum_capacity": 0}}),
+             "ledgers.mid.quantum_capacity: must be >= 1, got 0"),
         ],
+        ids=lambda v: v.split(": ")[0] if isinstance(v, str) else None,
     )
-    def test_first_invalid_field_is_named(self, mutate, field):
+    def test_first_invalid_field_is_named(self, mutate, message):
         data = minimal_scenario()
         mutate(data)
         with pytest.raises(ScenarioValidationError) as exc_info:
             scenario_from_dict(data)
-        assert exc_info.value.field == field
+        assert str(exc_info.value) == message
+        assert exc_info.value.field == message.split(": ")[0]
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(

@@ -135,6 +135,70 @@ class TestLoadReportIdentities:
             assert loads.hypervisor_ingest == t.num_controllers * loads.mid_link_load
 
 
+def address_width(n: int) -> int:
+    """Smallest a with 2**a >= n, found by counting up."""
+    a = 0
+    while 2**a < n:
+        a += 1
+    return a
+
+
+def walked_loads(t: TopologySpec) -> dict[Unit, dict]:
+    """Symbols on every link and at every ingest of one round, summed message
+    by message over each switch and controller of the tree.
+
+    A switch streams its P parameters of b bits once, and sends one
+    P-amplitude encoding per shot. A controller forwards every bit it
+    ingested, and per shot joins the states of its switches under an address
+    over them; the hypervisor joins the controllers' states likewise.
+    """
+    walk = {unit: {"leaf": [], "controller": [], "mid": [], "hypervisor": 0}
+            for unit in Unit}
+    bits, qubits = walk[Unit.BITS], walk[Unit.QUBITS]
+    mid_widths = []
+    for _controller in range(t.num_controllers):
+        leaf_bits, leaf_qubits, leaf_widths = [], [], []
+        for _switch in range(t.switches_per_controller):
+            width = address_width(t.params_per_switch)
+            leaf_widths.append(width)
+            leaf_bits.append(sum(t.bits_per_param for _param in range(t.params_per_switch)))
+            leaf_qubits.append(sum(width for _shot in range(t.shots)))
+        joined = max(leaf_widths) + address_width(len(leaf_widths))
+        mid_widths.append(joined)
+        bits["leaf"] += leaf_bits
+        qubits["leaf"] += leaf_qubits
+        bits["controller"].append(sum(leaf_bits))
+        qubits["controller"].append(sum(leaf_qubits))
+        bits["mid"].append(sum(leaf_bits))
+        qubits["mid"].append(sum(joined for _shot in range(t.shots)))
+        bits["hypervisor"] += bits["mid"][-1]
+        qubits["hypervisor"] += qubits["mid"][-1]
+    bits["state"] = 0
+    qubits["state"] = max(mid_widths) + address_width(len(mid_widths))
+    return walk
+
+
+class TestLoadsByTreeWalk:
+    @given(st.builds(
+        TopologySpec,
+        num_controllers=st.integers(1, 16),
+        switches_per_controller=st.integers(1, 16),
+        params_per_switch=st.integers(1, 64),
+        bits_per_param=st.integers(1, 4),
+        shots=st.integers(1, 4),
+    ))
+    @settings(max_examples=80)
+    def test_closed_forms_match_the_walk(self, t):
+        walk = walked_loads(t)
+        for loads in (classical_loads(t), quantum_loads(t)):
+            walked = walk[loads.unit]
+            assert set(walked["leaf"]) == {loads.leaf_link_load}
+            assert set(walked["controller"]) == {loads.controller_ingest}
+            assert set(walked["mid"]) == {loads.mid_link_load}
+            assert walked["hypervisor"] == loads.hypervisor_ingest
+            assert walked["state"] == loads.hypervisor_state_size
+
+
 class TestMonotonicity:
     FIELDS = ("num_controllers", "switches_per_controller", "params_per_switch",
               "bits_per_param", "shots")
