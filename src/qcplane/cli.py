@@ -27,11 +27,11 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import runner
-from .config import ScenarioParseError, ScenarioValidationError, load_scenario
+from .config import ScenarioParseError, load_scenario
 from .exchange import InfeasibleError, LinkLoad, ResourceLedger, balance_link
 from .netsim import simulate_collection
 from .reporting import csv_text, json_text, table_csv, write_atomic
-from .scaling import TopologySpec, scaling_table
+from .scaling import FieldError, TopologySpec, scaling_table
 
 if TYPE_CHECKING:
     from .qram import JoinedState
@@ -363,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ScenarioParseError, InputParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ScenarioValidationError as exc:
+    except FieldError as exc:
         print(f"error: invalid field {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except InfeasibleError as exc:

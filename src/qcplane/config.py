@@ -17,10 +17,14 @@ A scenario is one JSON object (see README for the full schema):
 
 The dataclasses state the schema once: the walk order, the allowed keys and
 the defaults of each section are the fields of `TopologySpec`,
-`TierLinks`/`LinkSpec`, `EnergyModel` and `ResourceLedger`, and the top-level
-keys are those of `ScenarioConfig`. Validation walks them in that order and
-reports the first offender by its dotted path, so a bad file always produces
-the same diagnostic.
+`TierLinks`/`LinkSpec`, `EnergyModel`, `ResourceLedger` and `SweepSpec`, and
+the top-level keys are those of `ScenarioConfig`. Each of those dataclasses
+holds its own fields to their contract in `__post_init__`, whether it is
+built here or in Python, and raises `FieldError` (a ValueError, alias
+`ScenarioValidationError`) naming the field. This module only walks the
+JSON, rejects unknown keys and puts the section's dotted path in front of
+the field, so the first offender is reported by its full path and a bad
+file always produces the same diagnostic.
 
 The `seed` is recorded in report.json for provenance. The accounting is
 exact and draws nothing at random, so no other report byte depends on it.
@@ -28,33 +32,46 @@ exact and draws nothing at random, so no other report byte depends on it.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .exchange import ResourceLedger
 from .netsim import EnergyModel, LinkSpec, TierLinks
-from .scaling import TopologySpec, UnknownParameterError, normalize_sweep_parameter
+from .scaling import FieldError, TopologySpec, check_fields, normalize_sweep_parameter
 
 MODES = ("classical", "quantum", "both")
+
+# A scenario field violates its contract; `field` is its dotted path.
+ScenarioValidationError = FieldError
 
 
 class ScenarioParseError(ValueError):
     """The scenario file is not well-formed JSON (or not an object)."""
 
 
-class ScenarioValidationError(ValueError):
-    """A scenario field violates its contract; `field` is the dotted path."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(f"{field}: {message}")
-        self.field = field
+def _sweep_field(name: str, value):
+    if name == "parameter":
+        if not isinstance(value, str):
+            raise ValueError("must be a string")
+        return normalize_sweep_parameter(value)
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ValueError("must be a non-empty list")
+    for i, v in enumerate(value):
+        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+            raise FieldError(f"values[{i}]", f"must be an integer >= 1, got {v!r}")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
 class SweepSpec:
+    """A topology sweep: `parameter` is N, K, P or R (or a field name, in any
+    case), `values` a non-empty list of integers >= 1, stored as a tuple."""
+
     parameter: str
     values: tuple[int, ...]
+
+    def __post_init__(self):
+        check_fields(self, _sweep_field)
 
 
 @dataclass(frozen=True)
@@ -68,143 +85,64 @@ class ScenarioConfig:
     mode: str
 
 
-def _require(obj: dict, field: str, path: str):
-    if field not in obj:
-        raise ScenarioValidationError(f"{path}{field}", "missing required field")
-    return obj[field]
-
-
-def _reject_unknown(obj: dict, allowed: list[str], path: str):
-    for key in obj:
-        if key not in allowed:
-            raise ScenarioValidationError(f"{path}{key}", "unknown field")
-
-
 def _names(cls) -> list[str]:
     return [f.name for f in fields(cls)]
 
 
-def _int_field(obj: dict, field: str, path: str, minimum: int = 1) -> int:
-    value = _require(obj, field, path)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ScenarioValidationError(f"{path}{field}", f"must be an integer, got {value!r}")
-    if value < minimum:
-        raise ScenarioValidationError(f"{path}{field}", f"must be >= {minimum}, got {value}")
-    return value
+def _object(obj, path: str, allowed: list[str]) -> dict:
+    """`obj`, the JSON found at `path` (MISSING if absent), if it is an object
+    whose keys are all in `allowed`."""
+    if obj is MISSING:
+        raise FieldError(path, "missing required field")
+    if not isinstance(obj, dict):
+        raise FieldError(path, "must be an object")
+    for key in obj:
+        if key not in allowed:
+            raise FieldError(f"{path}.{key}" if path else key, "unknown field")
+    return obj
 
 
-def _number(obj: dict, field: str, path: str) -> float:
-    """The field as a finite float.
-
-    json.loads turns NaN, Infinity, -Infinity and literals like 1e999 into
-    non-finite floats, and keeps integers too large for any float; all of
-    them are rejected here by field name.
-    """
-    value = _require(obj, field, path)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioValidationError(f"{path}{field}", f"must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ScenarioValidationError(f"{path}{field}", f"must be finite, got {json.dumps(number)}")
-    return number
-
-
-def _pos_number(obj: dict, field: str, path: str) -> float:
-    number = _number(obj, field, path)
-    if not number > 0:
-        raise ScenarioValidationError(f"{path}{field}", f"must be > 0, got {obj[field]}")
-    return number
-
-
-def _nonneg_number(obj: dict, field: str, path: str) -> float:
-    number = _number(obj, field, path)
-    if number < 0:
-        raise ScenarioValidationError(f"{path}{field}", f"must be >= 0, got {obj[field]}")
-    return number
-
-
-def _section(cls, obj, path: str, read):
+def _section(cls, obj, path: str):
     """Build dataclass `cls` from the JSON object `obj` found at `path`.
 
-    The allowed keys, their order and the optional ones are the fields of
-    `cls`: an unknown key is rejected, each present or required field is
-    read by `read(obj, name, prefix)`, and an absent field with a default
-    keeps the dataclass's own default.
+    Only the keys are read here: an unknown one is rejected and an absent
+    one is passed as the field's default, MISSING for a required field.
+    `cls` holds every value to its contract; its FieldError is raised again
+    with `path` in front of the field.
     """
-    if not isinstance(obj, dict):
-        raise ScenarioValidationError(path, "must be an object")
-    prefix = f"{path}."
     schema = fields(cls)
-    _reject_unknown(obj, [f.name for f in schema], prefix)
-    return cls(**{
-        f.name: read(obj, f.name, prefix)
-        for f in schema
-        if f.name in obj or f.default is MISSING
-    })
-
-
-def _link_field(obj: dict, field: str, path: str) -> LinkSpec:
-    return _section(LinkSpec, _require(obj, field, path), f"{path}{field}", _pos_number)
-
-
-def _ledger_field(obj: dict, field: str, path: str) -> int:
-    return _int_field(obj, field, path, minimum=0 if field == "ebits" else 1)
-
-
-def _ledgers(obj) -> dict[str, ResourceLedger]:
-    if not isinstance(obj, dict):
-        raise ScenarioValidationError("ledgers", "must be an object")
-    links = _names(TierLinks)
-    _reject_unknown(obj, links, "ledgers.")
-    return {
-        link: _section(ResourceLedger, obj[link], f"ledgers.{link}", _ledger_field)
-        for link in links
-        if link in obj
-    }
-
-
-def _sweep(obj) -> SweepSpec:
-    if not isinstance(obj, dict):
-        raise ScenarioValidationError("sweep", "must be an object")
-    path = "sweep."
-    _reject_unknown(obj, _names(SweepSpec), path)
-    parameter = _require(obj, "parameter", path)
-    if not isinstance(parameter, str):
-        raise ScenarioValidationError("sweep.parameter", "must be a string")
+    obj = _object(obj, path, [f.name for f in schema])
     try:
-        short = normalize_sweep_parameter(parameter)
-    except UnknownParameterError as exc:
-        raise ScenarioValidationError("sweep.parameter", str(exc)) from exc
-    values = _require(obj, "values", path)
-    if not isinstance(values, list) or not values:
-        raise ScenarioValidationError("sweep.values", "must be a non-empty list")
-    for i, v in enumerate(values):
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise ScenarioValidationError(
-                f"sweep.values[{i}]", f"must be an integer >= 1, got {v!r}"
-            )
-    return SweepSpec(parameter=short, values=tuple(values))
+        return cls(**{f.name: obj.get(f.name, f.default) for f in schema})
+    except FieldError as exc:
+        raise FieldError(f"{path}.{exc.field}", exc.message) from None
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Validate a parsed scenario object, reporting the first bad field."""
     if not isinstance(data, dict):
         raise ScenarioParseError("scenario must be a JSON object")
-    _reject_unknown(data, _names(ScenarioConfig), "")
-    topology = _section(TopologySpec, _require(data, "topology", ""), "topology", _int_field)
-    links = _section(TierLinks, _require(data, "links", ""), "links", _link_field)
-    energy = _section(EnergyModel, _require(data, "energy", ""), "energy", _nonneg_number)
-    ledgers = _ledgers(data["ledgers"]) if "ledgers" in data else {}
-    sweep = _sweep(data["sweep"]) if "sweep" in data else None
+    _object(data, "", _names(ScenarioConfig))
+    topology = _section(TopologySpec, data.get("topology", MISSING), "topology")
+    names = _names(TierLinks)
+    given = _object(data.get("links", MISSING), "links", names)
+    links = TierLinks(**{
+        link: _section(LinkSpec, given.get(link, MISSING), f"links.{link}") for link in names
+    })
+    energy = _section(EnergyModel, data.get("energy", MISSING), "energy")
+    given = _object(data.get("ledgers", {}), "ledgers", names)
+    ledgers = {
+        link: _section(ResourceLedger, given[link], f"ledgers.{link}")
+        for link in names
+        if link in given
+    }
+    sweep = _section(SweepSpec, data["sweep"], "sweep") if "sweep" in data else None
     seed = data.get("seed")
     if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ScenarioValidationError("seed", "must be present and an integer")
+        raise FieldError("seed", "must be present and an integer")
     mode = data.get("mode")
     if mode not in MODES:
-        raise ScenarioValidationError("mode", f"must be one of {MODES}, got {mode!r}")
+        raise FieldError("mode", f"must be one of {MODES}, got {mode!r}")
     return ScenarioConfig(
         topology=topology,
         links=links,

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from .scaling import check_fields, integer
+
 
 class InfeasibleError(RuntimeError):
     """Even the best plan overflows both planes; the caller must queue.
@@ -30,19 +32,19 @@ class InfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class LinkLoad:
-    """Outstanding demand on one link, split by plane."""
+    """Outstanding demand on one link, split by plane: integers >= 0."""
 
     cbits: int
     qubits: int
 
     def __post_init__(self):
-        if self.cbits < 0 or self.qubits < 0:
-            raise ValueError("link load counts must be >= 0")
+        check_fields(self, lambda name, value: integer(value, 0))
 
 
 @dataclass(frozen=True)
 class ResourceLedger:
-    """Per-link ebit stock and per-round plane capacities.
+    """Per-link ebit stock (an integer >= 0) and per-round plane capacities
+    (integers >= 1).
 
     Immutable: a plan never debits it, so a ledger held in a scenario always
     states the stock as given.
@@ -53,10 +55,7 @@ class ResourceLedger:
     quantum_capacity: int
 
     def __post_init__(self):
-        if self.ebits < 0:
-            raise ValueError("ebits must be >= 0")
-        if self.classical_capacity <= 0 or self.quantum_capacity <= 0:
-            raise ValueError("capacities must be > 0")
+        check_fields(self, lambda name, value: integer(value, 0 if name == "ebits" else 1))
 
 
 @dataclass(frozen=True)

@@ -17,14 +17,15 @@ comes from the load alone, not from technology constants.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .scaling import (
     LoadReport,
     TopologySpec,
     Unit,
+    check_fields,
     classical_loads,
+    number,
     quantum_loads,
 )
 
@@ -44,10 +45,7 @@ class LinkSpec:
     per_message_processing: float = 1e-6  # seconds
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{f.name} must be finite and > 0, got {value!r}")
+        check_fields(self, lambda name, value: number(value, positive=True))
 
     def rate(self, unit: Unit) -> float:
         return self.capacity if unit is Unit.BITS else self.q_capacity
@@ -79,10 +77,7 @@ class EnergyModel:
     bandwidth_scaling: float  # reference bandwidth, bits/second
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (value >= 0 and math.isfinite(value)):
-                raise ValueError(f"{f.name} must be finite and >= 0, got {value!r}")
+        check_fields(self, lambda name, value: number(value, positive=False))
 
 
 @dataclass(frozen=True)
@@ -117,7 +112,7 @@ def link_latency(
     drain at the link's rate for the chosen symbol kind.
     """
     if message_size < 0 or backlog < 0:
-        raise ValueError("message_size and backlog must be >= 0")
+        raise ValueError(f"message_size {message_size} and backlog {backlog} must be >= 0")
     rate = link.rate(unit)
     propagation = link.length / link.propagation_speed
     transmission = message_size / rate
@@ -145,9 +140,9 @@ def energy_estimate(
     compute term is linear in instructions.
     """
     if symbols_sent < 0 or instructions < 0:
-        raise ValueError("symbols_sent and instructions must be >= 0")
+        raise ValueError(f"symbols_sent {symbols_sent} and instructions {instructions} must be >= 0")
     if available_bandwidth <= 0:
-        raise ZeroBandwidthError("available bandwidth must be > 0")
+        raise ZeroBandwidthError(f"available bandwidth must be > 0, got {available_bandwidth}")
     tx = model.per_bit_tx * symbols_sent * (model.bandwidth_scaling / available_bandwidth)
     return tx + model.per_instruction * instructions
 

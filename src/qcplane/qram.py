@@ -94,8 +94,10 @@ def qram_join(
         w = np.ones(k) if weights is None else np.asarray(weights, dtype=np.float64)
         if w.shape != (k,):
             raise MixedDimensionsError(f"got {w.size} weights for {k} states")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise NonPositiveWeightError("weights must be positive and finite")
+        bad = np.flatnonzero(~((w > 0.0) & (w < np.inf)))
+        if bad.size:
+            i = bad[0]
+            raise NonPositiveWeightError(f"weights must be positive and finite; weight {i} is {w[i]}")
         _, scale, norm = _real_vector(w)
         betas = (w if scale == 1.0 else w / scale) / norm
 

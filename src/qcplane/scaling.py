@@ -10,10 +10,11 @@ scaling every transfer count but not the final aggregate state width.
 """
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
-from typing import Iterable
+from typing import Callable, Iterable
 
 
 class DegenerateEncodingError(ValueError):
@@ -22,6 +23,69 @@ class DegenerateEncodingError(ValueError):
 
 class UnknownParameterError(ValueError):
     """Sweep over a name that is not one of N, K, P, R."""
+
+
+class FieldError(ValueError):
+    """A dataclass field violates its contract; `field` names it (as a dotted
+    path when it was read from a scenario file) and `message` says how."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(f"{field}: {message}")
+        self.field = field
+        self.message = message
+
+
+def integer(value, minimum: int) -> int:
+    """`value` if it is an int (not a bool) of at least `minimum`."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"must be >= {minimum}, got {value}")
+    return value
+
+
+def number(value, positive: bool) -> float:
+    """`value` as a finite float, > 0 if `positive`, else >= 0.
+
+    json.loads turns NaN, Infinity, -Infinity and literals like 1e999 into
+    non-finite floats, and keeps integers too large for any float; all of
+    them are refused here.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"must be a number, got {value!r}")
+    try:
+        result = float(value)
+    except OverflowError:
+        result = math.inf
+    if not math.isfinite(result):
+        raise ValueError(f"must be finite, got {json.dumps(result)}")
+    if positive and not result > 0:
+        raise ValueError(f"must be > 0, got {value}")
+    if result < 0:
+        raise ValueError(f"must be >= 0, got {value}")
+    return result
+
+
+def check_fields(obj, check: Callable[[str, object], object]) -> None:
+    """Hold each field of dataclass `obj`, in field order, to
+    `check(name, value)` and store what it returns.
+
+    A field passed as `dataclasses.MISSING` is missing; a ValueError from
+    the check becomes a FieldError naming the field, and a FieldError (one
+    naming a part of the field) passes through as it is.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is MISSING:
+            raise FieldError(f.name, "missing required field")
+        try:
+            checked = check(f.name, value)
+        except FieldError:
+            raise
+        except ValueError as exc:
+            raise FieldError(f.name, str(exc)) from None
+        if checked is not value:
+            object.__setattr__(obj, f.name, checked)
 
 
 class Unit(str, Enum):
@@ -40,10 +104,7 @@ class TopologySpec:
     shots: int = 1
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ValueError(f"{f.name} must be an integer >= 1, got {value!r}")
+        check_fields(self, lambda name, value: integer(value, 1))
 
 
 @dataclass(frozen=True)
@@ -66,7 +127,7 @@ def qubits_for_parameters(params: int) -> int:
     """Qubits to amplitude-encode, or to address, `params` values:
     ceil(log2 P), 0 for P=1."""
     if params < 1:
-        raise ValueError("parameter count must be >= 1")
+        raise ValueError(f"parameter count must be >= 1, got {params}")
     return int(params - 1).bit_length()
 
 

@@ -202,16 +202,16 @@ class OutcomeHistogram:
 
     def __post_init__(self):
         if self.total_shots < 1:
-            raise ValueError("total_shots must be positive")
+            raise ValueError(f"total_shots must be positive, got {self.total_shots}")
         if not isinstance(self.counts, SparseCounts):
             outcomes = sorted(self.counts)
             sparse = SparseCounts(outcomes, [operator.index(self.counts[o]) for o in outcomes])
             object.__setattr__(self, "counts", sparse)
         shots = self.counts.shots
         if shots.size and shots.min() < 0:
-            raise ValueError("negative shot count")
+            raise ValueError(f"negative shot count {int(shots.min())}")
         if int(shots.sum()) != self.total_shots:
-            raise ValueError("counts do not add up to total_shots")
+            raise ValueError(f"counts add up to {int(shots.sum())}, not {self.total_shots}")
 
 
 class EstimateResult(NamedTuple):
@@ -236,8 +236,9 @@ def _real_vector(values: ArrayLike) -> tuple[np.ndarray, float, float]:
         squares = float(vec.dot(vec))
     if sys.float_info.min <= squares < math.inf:
         return vec, 1.0, math.sqrt(squares)
-    if not np.all(np.isfinite(vec)):
-        raise ValueError("vector entries must be finite")
+    bad = np.flatnonzero(~np.isfinite(vec))
+    if bad.size:
+        raise ValueError(f"vector entries must be finite; entry {bad[0]} is {vec[bad[0]]}")
     scale = float(np.max(np.abs(vec)))
     if scale == 0.0:
         return vec, 1.0, 0.0
@@ -297,7 +298,7 @@ def _sorted_outcomes(cdf: np.ndarray, shots: int, seed: int) -> np.ndarray:
 def measure_sample(state: QuantumState, shots: int, seed: int) -> OutcomeHistogram:
     """Draw `shots` computational-basis outcomes, deterministic per seed."""
     if shots < 1:
-        raise ValueError("shots must be >= 1")
+        raise ValueError(f"shots must be >= 1, got {shots}")
     cdf = state.probabilities()
     idx = _sorted_outcomes(np.cumsum(cdf, out=cdf), shots, seed)
     del cdf
@@ -340,7 +341,7 @@ def estimate_expectation(
     alongside the data) or at the padded power-of-two length.
     """
     if shots < 2:
-        raise ShotsTooFewError("need at least 2 shots for a spread estimate")
+        raise ShotsTooFewError(f"need at least 2 shots for a spread estimate, got {shots}")
     vec, scale, norm = _real_vector(source)
     # The encoded state's CDF, without building the state: its amplitudes
     # are real, and |x + 0j| ** 2 is exactly x ** 2.

@@ -248,6 +248,24 @@ class TestBalance:
         assert "exceeds both" in err
 
 
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (["balance", "--cbits", "-1", "--qubits", "1", "--ebits", "1",
+          "--classical-capacity", "1", "--quantum-capacity", "1"],
+         "error: invalid field cbits: must be >= 0, got -1\n"),
+        (["balance", "--cbits", "1", "--qubits", "1", "--ebits", "1",
+          "--classical-capacity", "0", "--quantum-capacity", "1"],
+         "error: invalid field classical_capacity: must be >= 1, got 0\n"),
+        (["scale", "--sweep", "K", "--values", "1,2", "--n", "0"],
+         "error: invalid field num_controllers: must be >= 1, got 0\n"),
+    ],
+    ids=["cbits", "classical_capacity", "n"],
+)
+def test_bad_argument_exits_3_naming_its_field(capsys, argv, err):
+    assert run_cli(capsys, *argv) == (3, "", err)
+
+
 class TestSelftest:
     def test_text_report_passes(self, capsys):
         code, out, _ = run_cli(capsys, "selftest")

@@ -7,6 +7,7 @@ import pytest
 from qcplane.config import (
     ScenarioParseError,
     ScenarioValidationError,
+    SweepSpec,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -142,6 +143,12 @@ class TestValidation:
         with pytest.raises(ScenarioValidationError) as exc_info:
             scenario_from_dict(data)
         assert exc_info.value.field == "sweep.values[1]"
+
+    def test_sweep_built_in_python_is_held_to_the_same_contract(self):
+        assert SweepSpec("switches_per_controller", [2, 4]) == SweepSpec("K", (2, 4))
+        with pytest.raises(ScenarioValidationError) as exc_info:
+            SweepSpec("K", [2, True])
+        assert str(exc_info.value) == "values[1]: must be an integer >= 1, got True"
 
     def test_malformed_json_is_parse_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,8 +1,9 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qcplane.exchange import (
@@ -11,6 +12,8 @@ from qcplane.exchange import (
     ResourceLedger,
     balance_link,
 )
+from qcplane.netsim import EnergyModel, LinkSpec
+from qcplane.scaling import FieldError
 
 
 def brute_force_plan(load, ledger):
@@ -228,3 +231,39 @@ class TestResourceLedger:
     def test_nonpositive_capacity_rejected(self):
         with pytest.raises(ValueError):
             ResourceLedger(0, 0, 10)
+
+
+# Counts of every kind the constructors might be handed: most are integers,
+# the rest floats near them, so some ledgers and loads are refused.
+COUNTS = st.integers(0, 60) | st.integers(-2, 10**6) | st.floats(-2.0, 1e6)
+
+
+class TestEbitStock:
+    @example(stock=(1.5, 100, 1), demand=(0, 10))
+    @given(stock=st.tuples(COUNTS, COUNTS, COUNTS), demand=st.tuples(COUNTS, COUNTS))
+    @settings(max_examples=400, deadline=None)
+    def test_accepted_inputs_never_overdraw_the_stock(self, stock, demand):
+        try:
+            ledger, load = ResourceLedger(*stock), LinkLoad(*demand)
+        except ValueError:
+            return
+        plan, _ = plan_or_infeasible(load, ledger)
+        counts = (plan.qubits_teleported, plan.cbits_densecoded, plan.ebits_consumed,
+                  plan.resulting_load.cbits, plan.resulting_load.qubits)
+        assert all(type(n) is int for n in counts)
+        assert plan.ebits_consumed <= ledger.ebits
+
+    @pytest.mark.parametrize(
+        "cls,valid,bad",
+        [(cls, valid, bad) for cls, valid in ((ResourceLedger, (5, 10, 10)), (LinkLoad, (4, 4)))
+         for bad in (1.5, True, "3")]
+        + [(LinkSpec, (1e6, 1e6, 1e3), True), (EnergyModel, (1e-9, 1e-10, 1.0, 1e7), True)],
+        ids=lambda v: getattr(v, "__name__", repr(v)),
+    )
+    def test_each_field_refuses_a_wrong_kind(self, cls, valid, bad):
+        for f in fields(cls):
+            kwargs = {g.name: value for g, value in zip(fields(cls), valid)}
+            kwargs[f.name] = bad
+            with pytest.raises(FieldError) as exc_info:
+                cls(**kwargs)
+            assert exc_info.value.field == f.name

@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcplane.config import load_scenario, scenario_from_dict, scenario_to_dict
+from qcplane.config import (
+    ScenarioConfig,
+    SweepSpec,
+    load_scenario,
+    scenario_from_dict,
+    scenario_to_dict,
+)
+from qcplane.exchange import ResourceLedger
+from qcplane.netsim import EnergyModel, LinkSpec, TierLinks
 from qcplane.runner import build_report_files
+from qcplane.scaling import TopologySpec
 
 REPO = Path(__file__).resolve().parent.parent
 SCENARIOS = [REPO / "scenarios" / "paper_example.json", REPO / "scenarios" / "desk_example.json"]
@@ -36,6 +45,25 @@ def test_report_records_the_stock_as_given(path):
     for link, outcome in report["balance"].items():
         stock = given["ledgers"][link]["ebits"]
         assert outcome["ebits_remaining"] == stock - outcome["ebits_consumed"]
+
+
+def test_python_built_scenario_replays_to_identical_files():
+    # Integer link and energy figures are stored as the floats a scenario
+    # file gives, so the recorded scenario is the one the reports came from.
+    cfg = ScenarioConfig(
+        topology=TopologySpec(4, 8, 50, bits_per_param=2),
+        links=TierLinks(leaf=LinkSpec(1000, 1000, 200, per_message_processing=1),
+                        mid=LinkSpec(10000, 10000, 2000, propagation_speed=200000000)),
+        energy=EnergyModel(1, 0, 2, 1000),
+        ledgers={"leaf": ResourceLedger(100, 400, 8)},
+        sweep=SweepSpec("K", (2, 4)),
+        seed=3,
+        mode="both",
+    )
+    files = build_report_files(cfg)
+    recorded = json.loads(files["report.json"])["scenario"]
+    assert recorded == scenario_to_dict(cfg)
+    assert build_report_files(scenario_from_dict(recorded)) == files
 
 
 def test_bundled_scenarios_consume_ebits():
