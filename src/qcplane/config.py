@@ -37,7 +37,7 @@ from pathlib import Path
 
 from .exchange import ResourceLedger
 from .netsim import EnergyModel, LinkSpec, TierLinks
-from .scaling import FieldError, TopologySpec, check_fields, normalize_sweep_parameter
+from .scaling import FieldError, TopologySpec, check_fields, instance, normalize_sweep_parameter
 
 MODES = ("classical", "quantum", "both")
 
@@ -74,8 +74,35 @@ class SweepSpec:
         check_fields(self, _sweep_field)
 
 
+def _names(cls) -> list[str]:
+    return [f.name for f in fields(cls)]
+
+
+_LINKS = _names(TierLinks)
+# The kind of each section; only `sweep` may be None.
+_SECTIONS = {"topology": TopologySpec, "links": TierLinks, "energy": EnergyModel, "sweep": SweepSpec}
+
+
+def _scenario_field(name: str, value):
+    if name == "seed" and (not isinstance(value, int) or isinstance(value, bool)):
+        raise ValueError("must be present and an integer")
+    if name == "mode" and value not in MODES:
+        raise ValueError(f"must be one of {MODES}, got {value!r}")
+    if name == "ledgers":
+        for link, ledger in instance(value, dict).items():
+            if link not in _LINKS:
+                raise FieldError(f"ledgers.{link}", "unknown field")
+            if not isinstance(ledger, ResourceLedger):
+                raise FieldError(f"ledgers.{link}", f"must be a ResourceLedger, got {ledger!r}")
+    if name in _SECTIONS and (value is not None or name != "sweep"):
+        instance(value, _SECTIONS[name])
+    return value
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One scenario; `ledgers` maps names of `TierLinks` fields to ledgers."""
+
     topology: TopologySpec
     links: TierLinks
     energy: EnergyModel
@@ -84,9 +111,8 @@ class ScenarioConfig:
     seed: int
     mode: str
 
-
-def _names(cls) -> list[str]:
-    return [f.name for f in fields(cls)]
+    def __post_init__(self):
+        check_fields(self, _scenario_field)
 
 
 def _object(obj, path: str, allowed: list[str]) -> dict:
@@ -124,33 +150,26 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
         raise ScenarioParseError("scenario must be a JSON object")
     _object(data, "", _names(ScenarioConfig))
     topology = _section(TopologySpec, data.get("topology", MISSING), "topology")
-    names = _names(TierLinks)
-    given = _object(data.get("links", MISSING), "links", names)
+    given = _object(data.get("links", MISSING), "links", _LINKS)
     links = TierLinks(**{
-        link: _section(LinkSpec, given.get(link, MISSING), f"links.{link}") for link in names
+        link: _section(LinkSpec, given.get(link, MISSING), f"links.{link}") for link in _LINKS
     })
     energy = _section(EnergyModel, data.get("energy", MISSING), "energy")
-    given = _object(data.get("ledgers", {}), "ledgers", names)
+    given = _object(data.get("ledgers", {}), "ledgers", _LINKS)
     ledgers = {
         link: _section(ResourceLedger, given[link], f"ledgers.{link}")
-        for link in names
+        for link in _LINKS
         if link in given
     }
     sweep = _section(SweepSpec, data["sweep"], "sweep") if "sweep" in data else None
-    seed = data.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise FieldError("seed", "must be present and an integer")
-    mode = data.get("mode")
-    if mode not in MODES:
-        raise FieldError("mode", f"must be one of {MODES}, got {mode!r}")
     return ScenarioConfig(
         topology=topology,
         links=links,
         energy=energy,
         ledgers=ledgers,
         sweep=sweep,
-        seed=seed,
-        mode=mode,
+        seed=data.get("seed"),
+        mode=data.get("mode"),
     )
 
 

@@ -5,16 +5,13 @@ Two conversions exist, both paid for from a stock of pre-shared entangled
 pairs (ebits): teleporting a qubit consumes 1 ebit and adds 2 classical
 bits, dense-coding 2 classical bits consumes 1 ebit and adds 1 qubit.
 `balance_link` picks the integer conversion count that minimizes the worse
-of the two plane utilizations. In each direction that score is the maximum
-of one falling and one rising utilization, so the optimum sits where the
-two cross; integer bisection finds it in O(log stock) steps, scoring each
-count with the same float arithmetic as a brute-force scan over every
-feasible count, so such a scan reproduces the plan exactly.
+of the two plane utilizations. That score is the maximum of one falling and
+one rising utilization, so the optimum is one of the two integers next to
+the point where they cross; both are scored exactly, in integers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .scaling import check_fields, integer
 
@@ -66,12 +63,6 @@ class TransferPlan:
     ebits_consumed: int
     utilization: tuple[float, float]
 
-    def __post_init__(self):
-        if self.cbits_densecoded % 2:
-            raise ValueError("dense coding moves classical bits in pairs")
-        if self.ebits_consumed != self.qubits_teleported + self.cbits_densecoded // 2:
-            raise ValueError("ebits_consumed does not match the conversion counts")
-
     @property
     def max_utilization(self) -> float:
         return max(self.utilization)
@@ -94,43 +85,6 @@ def _plan(load: LinkLoad, ledger: ResourceLedger, x: int, y: int) -> TransferPla
     )
 
 
-def _ratio(numerator: int, denominator: int) -> float:
-    """One utilization as a scan over int64 arrays computes it (float64 / float64)."""
-    return float(numerator) / float(denominator)
-
-
-def _first(lo: int, hi: int, holds: Callable[[int], bool]) -> int:
-    """Smallest n in [lo, hi) where `holds` turns true, or hi; `holds` is monotone."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _min_max(
-    lo: int, hi: int, falling: Callable[[int], float], rising: Callable[[int], float]
-) -> tuple[float, int]:
-    """(score, first n) minimizing max(falling(n), rising(n)) over [lo, hi].
-
-    Left of the first count n0 where rising catches up, the score is
-    falling, least at n0 - 1; from n0 on it is rising, least at n0. Float
-    division leaves runs of equal utilization at large values, so the left
-    candidate is the first count of the run that falling(n0 - 1) ends, as a
-    scan's argmin would pick it.
-    """
-    n0 = _first(lo, hi + 1, lambda n: rising(n) >= falling(n))
-    best = None
-    if n0 > lo:
-        score = falling(n0 - 1)
-        best = (score, _first(lo, n0 - 1, lambda n: falling(n) <= score))
-    if n0 <= hi and (best is None or rising(n0) < best[0]):
-        best = (rising(n0), n0)
-    return best
-
-
 def balance_link(load: LinkLoad, ledger: ResourceLedger) -> TransferPlan:
     """Min-max-utilization conversion plan for one link.
 
@@ -139,10 +93,16 @@ def balance_link(load: LinkLoad, ledger: ResourceLedger) -> TransferPlan:
     converts in one direction only (x*y = 0) and is bounded by the load and
     the ledger's ebits. The lowest max(classical, quantum) utilization wins;
     ties fall to the plan with fewer ebits consumed, then to teleportation,
-    then to the smaller count. In each direction the score is one falling
-    and one rising utilization, so bisection over the counts finds the
-    optimum in O(log ebits) time and constant memory, with the same result
-    as scoring every feasible count.
+    then to the smaller count.
+
+    Both directions are one signed count n (x = n > 0 or y = -n > 0),
+    leaving (cbits + 2n, qubits - n). Over the common denominator C*Q of
+    the capacities, the score max((cbits + 2n)*Q, (qubits - n)*C) is an
+    exact integer that falls strictly up to where the terms cross,
+    n* = (qubits*C - cbits*Q) / (2Q + C), and rises after it, so the
+    optimum is floor(n*) or floor(n*) + 1, clamped to the feasible counts.
+    Of two adjacent counts, the one nearer 0 spends fewer ebits, which
+    settles a tie.
 
     Raises InfeasibleError when the winning plan still overflows both
     planes at once (conversion cannot help; queuing is the caller's call).
@@ -150,33 +110,20 @@ def balance_link(load: LinkLoad, ledger: ResourceLedger) -> TransferPlan:
     """
     c, q = load.cbits, load.qubits
     cap_c, cap_q = ledger.classical_capacity, ledger.quantum_capacity
-    x_max = min(q, ledger.ebits)
-    y_max = min(c // 2, ledger.ebits)
-
-    x_score, x = _min_max(
-        0, x_max, lambda n: _ratio(q - n, cap_q), lambda n: _ratio(c + 2 * n, cap_c)
+    lo, hi = -min(c // 2, ledger.ebits), min(q, ledger.ebits)
+    crossing = (q * cap_c - c * cap_q) // (2 * cap_q + cap_c)
+    n = min(
+        (min(max(m, lo), hi) for m in (crossing, crossing + 1)),
+        key=lambda m: (max((c + 2 * m) * cap_q, (q - m) * cap_c), abs(m)),
     )
-    y = 0
-    if y_max >= 1:
-        y_score, best_y = _min_max(
-            1, y_max, lambda n: _ratio(c - 2 * n, cap_c), lambda n: _ratio(q + n, cap_q)
-        )
-        # Dense coding can only tie when teleporting gains nothing (x = 0:
-        # it raises the quantum load a useful teleport would lower), and
-        # then the zero plan wins on ebits, so only a strictly lower score
-        # switches direction.
-        if y_score < x_score:
-            x, y = 0, best_y
-
-    plan = _plan(load, ledger, x, y)
-    over_classical = plan.resulting_load.cbits > cap_c
-    over_quantum = plan.resulting_load.qubits > cap_q
-    if over_classical and over_quantum:
+    plan = _plan(load, ledger, max(n, 0), max(-n, 0))
+    after = plan.resulting_load
+    if after.cbits > cap_c and after.qubits > cap_q:
         raise InfeasibleError(
             f"load exceeds both plane capacities after balancing: demand {c} cbits "
             f"and {q} qubits, capacities {cap_c} cbits and {cap_q} qubits, "
             f"{ledger.ebits} ebits in stock; the best plan leaves "
-            f"{plan.resulting_load.cbits} cbits and {plan.resulting_load.qubits} qubits",
+            f"{after.cbits} cbits and {after.qubits} qubits",
             plan,
         )
     return plan

@@ -25,6 +25,7 @@ from .scaling import (
     Unit,
     check_fields,
     classical_loads,
+    instance,
     number,
     quantum_loads,
 )
@@ -59,13 +60,6 @@ class LatencyBreakdown:
     processing: float
     total: float
 
-    def __post_init__(self):
-        parts = (self.propagation, self.transmission, self.queuing, self.processing)
-        if any(p < 0 for p in parts):
-            raise ValueError("latency components must be >= 0")
-        if abs(self.total - sum(parts)) > 1e-12 * max(1.0, abs(self.total)):
-            raise ValueError("total does not equal the sum of components")
-
 
 @dataclass(frozen=True)
 class EnergyModel:
@@ -84,6 +78,9 @@ class EnergyModel:
 class TierLinks:
     leaf: LinkSpec
     mid: LinkSpec
+
+    def __post_init__(self):
+        check_fields(self, lambda name, value: instance(value, LinkSpec))
 
 
 @dataclass(frozen=True)

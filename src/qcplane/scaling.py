@@ -66,6 +66,13 @@ def number(value, positive: bool) -> float:
     return result
 
 
+def instance(value, cls: type):
+    """`value` if it is a `cls`."""
+    if not isinstance(value, cls):
+        raise ValueError(f"must be a {cls.__name__}, got {value!r}")
+    return value
+
+
 def check_fields(obj, check: Callable[[str, object], object]) -> None:
     """Hold each field of dataclass `obj`, in field order, to
     `check(name, value)` and store what it returns.

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,7 @@ from qcplane.config import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from qcplane.exchange import ResourceLedger
 from qcplane.netsim import LinkSpec
 from qcplane.scaling import TopologySpec
 
@@ -149,6 +151,24 @@ class TestValidation:
         with pytest.raises(ScenarioValidationError) as exc_info:
             SweepSpec("K", [2, True])
         assert str(exc_info.value) == "values[1]: must be an integer >= 1, got True"
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"seed": True}, "seed: must be present and an integer"),
+            ({"seed": 1.5}, "seed: must be present and an integer"),
+            ({"ledgers": {"edge": ResourceLedger(1, 2, 2)}}, "ledgers.edge: unknown field"),
+            ({"mode": "bogus"}, "mode: must be one of ('classical', 'quantum', 'both'), got 'bogus'"),
+        ],
+        ids=["seed-bool", "seed-float", "ledgers-edge", "mode-bogus"],
+    )
+    def test_scenario_built_in_python_is_held_to_the_file_contract(self, change, message):
+        # Each of these used to build reports whose recorded scenario the
+        # file reader then refused with the same message.
+        cfg = load_scenario(DESK_EXAMPLE)
+        with pytest.raises(ScenarioValidationError) as exc_info:
+            replace(cfg, **change)
+        assert str(exc_info.value) == message
 
     def test_malformed_json_is_parse_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -1,7 +1,7 @@
 import tracemalloc
 from dataclasses import fields
+from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,54 +16,45 @@ from qcplane.netsim import EnergyModel, LinkSpec
 from qcplane.scaling import FieldError
 
 
-def brute_force_plan(load, ledger):
-    """Independent scan over every feasible one-direction plan.
+def exact_score(load, ledger, x, y):
+    """max(classical, quantum) utilization after teleporting x qubits and
+    dense-coding 2y cbits, as an exact rational."""
+    return max(
+        Fraction(load.cbits + 2 * x - 2 * y, ledger.classical_capacity),
+        Fraction(load.qubits - x + y, ledger.quantum_capacity),
+    )
+
+
+def exact_scan(load, ledger):
+    """Independent scan over every feasible one-direction plan, scored with
+    exact rationals; memory and time grow with the stock, so it serves only
+    as the oracle.
 
     Key order mirrors the documented contract: max utilization, then ebits,
-    then teleport before dense coding, then the smaller count.
+    then teleport before dense coding, then the smaller count. Returns the
+    winning (x, y) and its score.
     """
-    candidates = []
-    for x in range(0, min(load.qubits, ledger.ebits) + 1):
-        cbits, qubits = load.cbits + 2 * x, load.qubits - x
-        util = max(cbits / ledger.classical_capacity, qubits / ledger.quantum_capacity)
-        candidates.append((util, x, 0, x))
-    for y in range(1, min(load.cbits // 2, ledger.ebits) + 1):
-        cbits, qubits = load.cbits - 2 * y, load.qubits + y
-        util = max(cbits / ledger.classical_capacity, qubits / ledger.quantum_capacity)
-        candidates.append((util, y, 1, y))
-    util, ebits, direction, amount = min(candidates, key=lambda c: (c[0], c[1], c[2], c[3]))
-    return util, (amount, 0) if direction == 0 else (0, amount)
+    candidates = [
+        (exact_score(load, ledger, x, 0), x, 0, x)
+        for x in range(min(load.qubits, ledger.ebits) + 1)
+    ]
+    candidates += [
+        (exact_score(load, ledger, 0, y), y, 1, y)
+        for y in range(1, min(load.cbits // 2, ledger.ebits) + 1)
+    ]
+    score, _, direction, count = min(candidates)
+    return ((count, 0) if direction == 0 else (0, count)), score
 
 
-def scan_plan(load, ledger):
-    """The former balance_link: score every feasible count with numpy.
-
-    Memory and time grow with the ebit stock, so it serves only as the
-    oracle. It divides int64 arrays (float64 / float64 per element), which
-    is the arithmetic whose float plateaus the bisection must reproduce.
-    Returns the winning (x, y) and its score.
-    """
-    x_max = min(load.qubits, ledger.ebits)
-    y_max = min(load.cbits // 2, ledger.ebits)
-    xs = np.arange(x_max + 1)
-    x_util = np.maximum(
-        (load.cbits + 2 * xs) / ledger.classical_capacity,
-        (load.qubits - xs) / ledger.quantum_capacity,
-    )
-    ys = np.arange(1, y_max + 1)
-    y_util = np.maximum(
-        (load.cbits - 2 * ys) / ledger.classical_capacity,
-        (load.qubits + ys) / ledger.quantum_capacity,
-    )
-    best_x = int(np.argmin(x_util))
-    x, y, score = best_x, 0, float(x_util[best_x])
-    if ys.size:
-        best_y = int(np.argmin(y_util))
-        if y_util[best_y] < x_util[best_x] or (
-            y_util[best_y] == x_util[best_x] and ys[best_y] < best_x
-        ):
-            x, y, score = 0, int(ys[best_y]), float(y_util[best_y])
-    return (x, y), score
+def window_argmin(load, ledger, plan, width=1000):
+    """The count with the lowest exact score in a window around the plan's,
+    in the plan's direction. Each direction's score is unimodal in the
+    count, so a plan that wins its window is the global optimum there."""
+    x, y = plan.qubits_teleported, plan.cbits_densecoded // 2
+    n = x or y
+    window = range(max(n - width, 0), n + width + 1)
+    scores = [exact_score(load, ledger, m, 0) if x else exact_score(load, ledger, 0, m) for m in window]
+    return window[scores.index(min(scores))]
 
 
 def plan_or_infeasible(load, ledger):
@@ -71,6 +62,19 @@ def plan_or_infeasible(load, ledger):
         return balance_link(load, ledger), False
     except InfeasibleError as exc:
         return exc.plan, True
+
+
+def assert_consistent(load, ledger, plan):
+    """What every plan holds: one direction, bits dense-coded in pairs, one
+    ebit per conversion, and c + 2q conserved (a teleported qubit becomes 2
+    cbits, 2 dense-coded cbits become 1 qubit)."""
+    x, y = plan.qubits_teleported, plan.cbits_densecoded // 2
+    assert plan.cbits_densecoded % 2 == 0
+    assert x * y == 0
+    assert plan.ebits_consumed == x + y <= ledger.ebits
+    after = plan.resulting_load
+    assert after == LinkLoad(load.cbits + 2 * x - 2 * y, load.qubits - x + y)
+    assert after.cbits + 2 * after.qubits == load.cbits + 2 * load.qubits
 
 
 class TestBalanceLink:
@@ -121,13 +125,14 @@ class TestBalanceLink:
     def test_matches_brute_force(self, cbits, qubits, ebits, cc, qc):
         load = LinkLoad(cbits, qubits)
         ledger = ResourceLedger(ebits, cc, qc)
-        want_util, (want_x, want_y) = brute_force_plan(load, ledger)
+        (want_x, want_y), want_score = exact_scan(load, ledger)
         try:
             plan = balance_link(load, ledger)
         except InfeasibleError as exc:
             plan = exc.plan
             assert plan.resulting_load.cbits > cc and plan.resulting_load.qubits > qc
-        assert plan.max_utilization == want_util
+        assert_consistent(load, ledger, plan)
+        assert plan.max_utilization == float(want_score)
         assert (plan.qubits_teleported, plan.cbits_densecoded // 2) == (want_x, want_y)
 
     @given(
@@ -138,44 +143,59 @@ class TestBalanceLink:
         qc=st.one_of(st.integers(1, 50), st.integers(1, 5000), st.integers(10**15, 10**17)),
     )
     @settings(max_examples=1000, deadline=None)
-    def test_matches_numpy_scan(self, cbits, qubits, ebits, cc, qc):
+    def test_matches_exact_scan(self, cbits, qubits, ebits, cc, qc):
         # Capacities of 1e15 and more, and loads beyond 2**53, make runs of
-        # counts share one float utilization; the scan takes the first.
+        # counts share one float utilization; exact scores still tell them apart.
         load, ledger = LinkLoad(cbits, qubits), ResourceLedger(ebits, cc, qc)
-        (want_x, want_y), _ = scan_plan(load, ledger)
+        (want_x, want_y), _ = exact_scan(load, ledger)
         plan, infeasible = plan_or_infeasible(load, ledger)
+        assert_consistent(load, ledger, plan)
         assert (plan.qubits_teleported, plan.cbits_densecoded // 2) == (want_x, want_y)
         resulting = plan.resulting_load
         assert infeasible == (resulting.cbits > cc and resulting.qubits > qc)
 
     @pytest.mark.parametrize(
-        "load,ledger",
+        "load,ledger,want",
         [
             # Balanced, empty-ledger and zero loads keep the zero plan.
-            (LinkLoad(6, 3), ResourceLedger(10, 6, 3)),
-            (LinkLoad(10, 7), ResourceLedger(0, 3, 3)),
-            (LinkLoad(0, 0), ResourceLedger(5, 3, 3)),
-            # Dense coding one pair scores the same as converting nothing in
-            # float; the zero plan wins on fewer ebits.
-            (LinkLoad(66739242869932083, 20), ResourceLedger(6, 85372399156233187, 243812408540535001)),
-            # Float plateaus of the falling term: the scan's argmin takes the
-            # first count of the run (134 and 2430), several counts before
-            # the crossing (140 and 2434).
-            (LinkLoad(691, 39317925257050906), ResourceLedger(1122, 1157, 46785720308160343)),
-            (LinkLoad(45895844938485520, 675), ResourceLedger(2434, 4006, 50016796649472460)),
+            (LinkLoad(6, 3), ResourceLedger(10, 6, 3), (0, 0)),
+            (LinkLoad(10, 7), ResourceLedger(0, 3, 3), (0, 0)),
+            (LinkLoad(0, 0), ResourceLedger(5, 3, 3), (0, 0)),
+            # In float, dense coding any of the 6 pairs scores the same as
+            # converting nothing; exactly, each pair lowers the classical load.
+            (LinkLoad(66739242869932083, 20), ResourceLedger(6, 85372399156233187, 243812408540535001),
+             (0, 6)),
+            # The falling term has float plateaus (from 134 and from 2430 on),
+            # but the exact optimum is at the crossing (140 and 2434).
+            (LinkLoad(691, 39317925257050906), ResourceLedger(1122, 1157, 46785720308160343),
+             (140, 0)),
+            (LinkLoad(45895844938485520, 675), ResourceLedger(2434, 4006, 50016796649472460),
+             (0, 2434)),
             # Capacities of 1e16 and more, loads beyond 2**53.
-            (LinkLoad(0, 2000), ResourceLedger(1000, 10**16, 10**17)),
-            (LinkLoad(3000, 0), ResourceLedger(3000, 10**17, 10**16)),
-            (LinkLoad(2**55, 2**55 + 7), ResourceLedger(2000, 2**54, 2**54)),
+            (LinkLoad(0, 2000), ResourceLedger(1000, 10**16, 10**17), (95, 0)),
+            (LinkLoad(3000, 0), ResourceLedger(3000, 10**17, 10**16), (0, 250)),
+            # Infeasible either way, but teleporting 2 lowers the exact
+            # maximum from 2**55 + 7 to 2**55 + 5 cbits-equivalents.
+            (LinkLoad(2**55, 2**55 + 7), ResourceLedger(2000, 2**54, 2**54), (2, 0)),
         ],
     )
-    def test_edge_cases_match_numpy_scan(self, load, ledger):
-        (want_x, want_y), want_score = scan_plan(load, ledger)
+    def test_edge_cases_match_exact_scan(self, load, ledger, want):
+        (want_x, want_y), want_score = exact_scan(load, ledger)
         plan, _ = plan_or_infeasible(load, ledger)
-        assert (plan.qubits_teleported, plan.cbits_densecoded // 2) == (want_x, want_y)
-        # Below 2**50 the plan's exact int division equals the scan's float one.
-        if max(load.cbits, load.qubits, ledger.classical_capacity, ledger.quantum_capacity) < 2**50:
-            assert plan.max_utilization == want_score
+        assert (want_x, want_y) == want
+        assert (plan.qubits_teleported, plan.cbits_densecoded // 2) == want
+        assert plan.max_utilization == float(want_score)
+
+    def test_exact_plan_past_2_to_the_52(self):
+        # In float, teleporting 749042475138357 scores the same as the plan;
+        # exactly, the plan at the crossing is lower.
+        load = LinkLoad(cbits=793609980027828, qubits=1497220575556488)
+        ledger = ResourceLedger(4452153678461977, 4375184993185336, 1428382789477268)
+        plan = balance_link(load, ledger)
+        assert_consistent(load, ledger, plan)
+        assert plan.qubits_teleported == 749042475138358
+        assert window_argmin(load, ledger, plan) == 749042475138358
+        assert exact_score(load, ledger, 0, 1) > exact_score(load, ledger, plan.qubits_teleported, 0)
 
     def test_trillion_ebit_stock_in_constant_memory(self):
         load = LinkLoad(cbits=3 * 10**12, qubits=10**6)
@@ -187,14 +207,10 @@ class TestBalanceLink:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
-        # Each direction's score is unimodal in the count, so a plan that
-        # beats every count in a window around it is the global optimum.
         y = plan.cbits_densecoded // 2
-        window = range(y - 1000, y + 1001)
-        scores = [max((load.cbits - 2 * n) / 10**13, (load.qubits + n) / 10**13) for n in window]
         assert plan.qubits_teleported == 0
-        assert window[scores.index(min(scores))] == y
-        assert plan.max_utilization == min(scores) < load.cbits / 10**13
+        assert window_argmin(load, ledger, plan) == y
+        assert plan.max_utilization == float(exact_score(load, ledger, 0, y)) < load.cbits / 10**13
 
     def test_infeasible_message_carries_the_values(self):
         with pytest.raises(InfeasibleError) as exc_info:
@@ -210,12 +226,8 @@ class TestBalanceLink:
         )
 
     def test_plan_is_reachable_and_consistent(self):
-        plan = balance_link(LinkLoad(37, 12), ResourceLedger(9, 40, 10))
-        x, y = plan.qubits_teleported, plan.cbits_densecoded // 2
-        assert x * y == 0
-        assert plan.resulting_load.cbits == 37 + 2 * x - 2 * y
-        assert plan.resulting_load.qubits == 12 - x + y
-        assert plan.ebits_consumed == x + y <= 9
+        load, ledger = LinkLoad(37, 12), ResourceLedger(9, 40, 10)
+        assert_consistent(load, ledger, balance_link(load, ledger))
 
 
 class TestResourceLedger:
@@ -251,7 +263,7 @@ class TestEbitStock:
         counts = (plan.qubits_teleported, plan.cbits_densecoded, plan.ebits_consumed,
                   plan.resulting_load.cbits, plan.resulting_load.qubits)
         assert all(type(n) is int for n in counts)
-        assert plan.ebits_consumed <= ledger.ebits
+        assert_consistent(load, ledger, plan)
 
     @pytest.mark.parametrize(
         "cls,valid,bad",

@@ -55,6 +55,9 @@ BASE = {
                          "--classical-capacity", "100", "--quantum-capacity", "5"],
     "balance-densecode": ["balance", "--cbits", "4000", "--qubits", "3", "--ebits", "700",
                           "--classical-capacity", "1000", "--quantum-capacity", "900"],
+    "balance-exact-large": ["balance", "--cbits", "793609980027828", "--qubits", "1497220575556488",
+                            "--ebits", "4452153678461977", "--classical-capacity", "4375184993185336",
+                            "--quantum-capacity", "1428382789477268"],
     "balance-infeasible": ["balance", "--cbits", "100", "--qubits", "100", "--ebits", "0",
                            "--classical-capacity", "10", "--quantum-capacity", "10"],
     "selftest": ["selftest"],

@@ -14,7 +14,7 @@ from qcplane.netsim import (
     round_latency,
     simulate_collection,
 )
-from qcplane.scaling import TopologySpec, Unit, break_even_shots, quantum_loads
+from qcplane.scaling import FieldError, TopologySpec, Unit, break_even_shots, quantum_loads
 
 
 def make_link(**overrides) -> LinkSpec:
@@ -85,6 +85,7 @@ class TestLinkLatency:
     def test_total_is_sum_of_components(self, size, backlog, capacity, length):
         link = make_link(capacity=capacity, q_capacity=capacity, length=length)
         b = link_latency(size, link, backlog=backlog)
+        assert min(b.propagation, b.transmission, b.queuing, b.processing) >= 0
         assert b.total == pytest.approx(
             b.propagation + b.transmission + b.queuing + b.processing, rel=1e-12
         )
@@ -205,6 +206,12 @@ def test_link_spec_rejects_nonpositive_fields():
         make_link(length=-5)
     with pytest.raises(ValueError):
         make_link(per_message_processing=0)
+
+
+def test_tier_links_hold_a_link_spec_per_tier():
+    with pytest.raises(FieldError) as exc_info:
+        TierLinks(make_link(), None)
+    assert str(exc_info.value) == "mid: must be a LinkSpec, got None"
 
 
 def test_energy_model_rejects_negative_fields():
