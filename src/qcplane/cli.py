@@ -120,10 +120,10 @@ def state_text(state: QuantumState, fmt: str, joined: JoinedState | None = None)
     """The `encode` or `join` state table in `fmt`.
 
     The table is one set of columns: index, then for a join the address and
-    the data index, then each amplitude's real and imaginary part and its
-    probability. The CSV prints every column; the JSON holds the amplitude
-    and probability columns with the state's width and, for a join, its
-    shape.
+    the data index, then each amplitude, an imaginary part kept for format
+    stability (always 0.0, as amplitudes are real) and the probability. The
+    CSV prints every column; the JSON holds the amplitude and probability
+    columns with the state's width and, for a join, its shape.
     """
     index = range(state.dim)
     columns = {"index": list(index)}
@@ -131,8 +131,8 @@ def state_text(state: QuantumState, fmt: str, joined: JoinedState | None = None)
         block = 1 << joined.data_qubits
         columns["address"] = [i // block for i in index]
         columns["data_index"] = [i % block for i in index]
-    columns["amplitude_real"] = state.amplitudes.real.tolist()
-    columns["amplitude_imag"] = state.amplitudes.imag.tolist()
+    columns["amplitude_real"] = state.amplitudes.tolist()
+    columns["amplitude_imag"] = [0.0] * state.dim
     columns["probability"] = state.probabilities().tolist()
     if fmt == "csv":
         return csv_text(list(columns), zip(*columns.values()))

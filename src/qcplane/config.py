@@ -32,8 +32,10 @@ exact and draws nothing at random, so no other report byte depends on it.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
+from types import MappingProxyType
 
 from .exchange import ResourceLedger
 from .netsim import EnergyModel, LinkSpec, TierLinks
@@ -89,7 +91,8 @@ def _scenario_field(name: str, value):
     if name == "mode" and value not in MODES:
         raise ValueError(f"must be one of {MODES}, got {value!r}")
     if name == "ledgers":
-        for link, ledger in instance(value, dict).items():
+        value = MappingProxyType(dict(instance(value, Mapping)))
+        for link, ledger in value.items():
             if link not in _LINKS:
                 raise FieldError(f"ledgers.{link}", "unknown field")
             if not isinstance(ledger, ResourceLedger):
@@ -101,12 +104,13 @@ def _scenario_field(name: str, value):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """One scenario; `ledgers` maps names of `TierLinks` fields to ledgers."""
+    """One scenario; `ledgers` maps names of `TierLinks` fields to ledgers
+    and is held as a read-only copy of the mapping given."""
 
     topology: TopologySpec
     links: TierLinks
     energy: EnergyModel
-    ledgers: dict[str, ResourceLedger]
+    ledgers: Mapping[str, ResourceLedger]
     sweep: SweepSpec | None
     seed: int
     mode: str
@@ -174,11 +178,11 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
 
 
 def _plain(obj) -> dict:
-    """A dataclass or dict as a JSON object: nested ones likewise, tuples as
-    lists. Shallow vars() rather than dataclasses.asdict, which deep-copies
-    every leaf and costs ten times as much here."""
+    """A dataclass, dict or mappingproxy as a JSON object: nested ones
+    likewise, tuples as lists. Shallow vars() rather than dataclasses.asdict,
+    which deep-copies every leaf and costs ten times as much here."""
     data = {}
-    for key, value in (obj if isinstance(obj, dict) else vars(obj)).items():
+    for key, value in (obj if isinstance(obj, (dict, MappingProxyType)) else vars(obj)).items():
         if isinstance(value, tuple):
             value = list(value)
         elif value is not None and not isinstance(value, (int, float, str)):

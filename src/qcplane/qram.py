@@ -103,7 +103,7 @@ def qram_join(
 
     address_qubits = qubits_for_parameters(k)
     block = 1 << m
-    joined = np.zeros((1 << address_qubits) * block, dtype=np.complex128)
+    joined = np.zeros((1 << address_qubits) * block)
     for i, (beta, s) in enumerate(zip(betas, states)):
         np.multiply(beta, s.amplitudes, out=joined[i * block : (i + 1) * block])
     return JoinedState(QuantumState._adopt(joined), k, m, mode)
@@ -124,7 +124,7 @@ def join_from_raw(vectors: Sequence[ArrayLike]) -> JoinedState:
     states, norms = [], []
     for a in arrays:
         vec, scale, norm = _real_vector(a)
-        states.append(QuantumState._adopt(_unit(vec, scale, norm, np.complex128)))
+        states.append(QuantumState._adopt(_unit(vec, scale, norm)))
         norms.append((scale, norm))
     # Only the weights' ratios matter: one common scale keeps them finite
     # and nonzero where a plain sum of squares would leave the float range.
@@ -141,7 +141,7 @@ def address_marginal(joined: JoinedState, k: int) -> AddressBranch:
         )
     block = 1 << joined.data_qubits
     branch = joined.state.amplitudes[k * block : (k + 1) * block]
-    probability = float(np.sum(np.abs(branch) ** 2))
+    probability = float(np.sum(np.square(branch)))
     if probability < BRANCH_PROB_FLOOR:
         raise EmptyBranchError(f"address branch {k} has probability < {BRANCH_PROB_FLOOR}")
     conditional = QuantumState._adopt(branch / np.sqrt(probability))

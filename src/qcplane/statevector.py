@@ -4,7 +4,7 @@ Exact pure-state simulation for telemetry packed into probability amplitudes.
 A vector of n real telemetry values is zero-padded to the next power of two,
 divided by its Euclidean norm, and stored as the amplitudes of a
 ceil(log2 n)-qubit state. Measuring in the computational basis returns index
-i with probability |amplitude[i]|^2, so a single readout yields only
+i with probability amplitude[i]**2, so a single readout yields only
 ceil(log2 n) bits: repeated estimation needs a fresh encoding per shot
 (an unknown state cannot be copied), which `estimate_expectation` charges
 for in its qubits_sent figure.
@@ -59,16 +59,22 @@ class ShotsTooFewError(ValueError):
 
 
 class QuantumState:
-    """Immutable unit vector over the 2**num_qubits computational basis."""
+    """Immutable real unit vector over the 2**num_qubits computational basis."""
 
     __slots__ = ("amplitudes", "num_qubits")
 
     def __init__(self, amplitudes: ArrayLike):
-        self._own(np.asarray(amplitudes, dtype=np.complex128).reshape(-1).copy())
+        amps = np.asarray(amplitudes).reshape(-1)
+        if np.iscomplexobj(amps):
+            bad = np.flatnonzero(amps.imag)
+            if bad.size:
+                raise ValueError(f"amplitudes must be real; entry {bad[0]} is {amps[bad[0]]}")
+            amps = amps.real
+        self._own(np.array(amps, dtype=np.float64))
 
     @classmethod
     def _adopt(cls, amps: np.ndarray) -> QuantumState:
-        """Wrap a fresh 1-D complex128 array without copying it.
+        """Wrap a fresh 1-D float64 array without copying it.
 
         The caller gives the array up: it is checked like any other
         amplitudes and then made read-only.
@@ -85,7 +91,7 @@ class QuantumState:
             raise ValueError(
                 f"amplitude count {amps.size} is not a power of two"
             )
-        sq = float(np.vdot(amps, amps).real)
+        sq = float(np.vdot(amps, amps))
         if not abs(sq - 1.0) <= NORM_ATOL:  # a NaN sum fails too
             raise ValueError(f"squared-magnitude sum {sq!r} is not 1")
         amps.setflags(write=False)
@@ -100,7 +106,7 @@ class QuantumState:
         return self.amplitudes.size
 
     def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        return np.square(self.amplitudes)
 
     def __repr__(self) -> str:
         return f"QuantumState(num_qubits={self.num_qubits})"
@@ -246,13 +252,13 @@ def _real_vector(values: ArrayLike) -> tuple[np.ndarray, float, float]:
     return vec, scale, math.sqrt(unit.dot(unit))
 
 
-def _unit(vec: np.ndarray, scale: float, norm: float, dtype) -> np.ndarray:
+def _unit(vec: np.ndarray, scale: float, norm: float) -> np.ndarray:
     """vec divided by its norm, scale * norm, and zero-padded to the next
-    power of two, as a fresh array of `dtype`."""
+    power of two, as a fresh float64 array."""
     if norm == 0.0:
         raise ZeroVectorError("cannot encode a zero vector")
-    unit = np.zeros(1 << qubits_for_parameters(vec.size), dtype=dtype)
-    np.divide(vec if scale == 1.0 else vec / scale, norm, out=unit.real[: vec.size])
+    unit = np.zeros(1 << qubits_for_parameters(vec.size))
+    np.divide(vec if scale == 1.0 else vec / scale, norm, out=unit[: vec.size])
     return unit
 
 
@@ -265,7 +271,7 @@ def amplitude_encode(values: ArrayLike) -> QuantumState:
     [1e300, -1e300] or [1e-200, 1e-200], are scaled by their largest
     magnitude first.
     """
-    return QuantumState._adopt(_unit(*_real_vector(values), np.complex128))
+    return QuantumState._adopt(_unit(*_real_vector(values)))
 
 
 def _draw_indices(cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -313,7 +319,7 @@ def measure_sample(state: QuantumState, shots: int, seed: int) -> OutcomeHistogr
 
 
 def expectation(state: QuantumState, observable: ArrayLike) -> float:
-    """Exact mean of a diagonal observable: sum_i |amp_i|^2 * observable[i]."""
+    """Exact mean of a diagonal observable: sum_i amp_i**2 * observable[i]."""
     obs = np.asarray(observable, dtype=np.float64).reshape(-1)
     if obs.size != state.dim:
         raise DimensionMismatchError(
@@ -334,8 +340,8 @@ def estimate_expectation(
     is re-encoded and the fresh state measured once; nothing is reused
     between rounds. Encoding is deterministic, so the rounds share one
     state value and the draws reduce to `shots` seeded i.i.d. samples,
-    which are summed in increasing outcome order. qubits_sent counts the transfer cost of those rounds:
-    shots * ceil(log2(len(source))).
+    which are summed in increasing outcome order. qubits_sent counts the
+    transfer cost of those rounds: shots * ceil(log2(len(source))).
 
     The observable may be given at the source length (it is zero-padded
     alongside the data) or at the padded power-of-two length.
@@ -343,9 +349,8 @@ def estimate_expectation(
     if shots < 2:
         raise ShotsTooFewError(f"need at least 2 shots for a spread estimate, got {shots}")
     vec, scale, norm = _real_vector(source)
-    # The encoded state's CDF, without building the state: its amplitudes
-    # are real, and |x + 0j| ** 2 is exactly x ** 2.
-    cdf = _unit(vec, scale, norm, np.float64)
+    # The encoded state's CDF, without building the state.
+    cdf = _unit(vec, scale, norm)
     np.cumsum(np.square(cdf, out=cdf), out=cdf)
     dim = cdf.size
     obs = np.asarray(observable, dtype=np.float64).reshape(-1)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import resource
 import subprocess
@@ -113,6 +114,29 @@ def test_sum_of_squares_out_of_float_range_encodes(tmp_path, capsys, command, te
     assert (code, err) == (0, "")
     got = [re for re, _ in json.loads(out)["amplitudes"]]
     assert got == pytest.approx(want, abs=1e-12)
+
+
+SIGNED_ENTRIES = ["-3", "0", "4", "-0.0", "1e300", "-1e-300", "-7"]
+
+
+@pytest.mark.parametrize("argv,text", [
+    (("encode",), "\n".join(SIGNED_ENTRIES)),
+    (("join", "--weight-mode", "uniform"), " ".join(SIGNED_ENTRIES) + "\n2 0 -5 0 -0.0 1 -1\n"),
+    (("join", "--weight-mode", "norm_proportional"), " ".join(SIGNED_ENTRIES) + "\n-1 0 0 -2 0 1 3\n"),
+], ids=["encode", "join-uniform", "join-norm"])
+def test_imaginary_column_is_zero_on_every_row(tmp_path, capsys, argv, text):
+    # Amplitudes are real: the column stays only to keep the table's format.
+    path = tmp_path / "v.txt"
+    path.write_text(text)
+    _, out, _ = run_cli(capsys, *argv, "--input", str(path), "--format", "csv")
+    lines = out.splitlines()
+    imag = lines[0].split(",").index("amplitude_imag")
+    assert len(lines) > 1
+    assert all(line.split(",")[imag] == "0" for line in lines[1:])
+    _, out, _ = run_cli(capsys, *argv, "--input", str(path), "--format", "json")
+    amplitudes = json.loads(out)["amplitudes"]
+    assert any(re < 0 for re, _ in amplitudes)
+    assert all(im == 0.0 and math.copysign(1.0, im) == 1.0 for _, im in amplitudes)
 
 
 # (JSON token, as the error shows it): Python's json reads 1e999 and an

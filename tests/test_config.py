@@ -15,6 +15,7 @@ from qcplane.config import (
 )
 from qcplane.exchange import ResourceLedger
 from qcplane.netsim import LinkSpec
+from qcplane.runner import build_report_files
 from qcplane.scaling import TopologySpec
 
 REPO = Path(__file__).resolve().parent.parent
@@ -169,6 +170,19 @@ class TestValidation:
         with pytest.raises(ScenarioValidationError) as exc_info:
             replace(cfg, **change)
         assert str(exc_info.value) == message
+
+    def test_ledgers_cannot_change_after_construction(self):
+        # Assigning into the mapping used to add a link that the recorded
+        # scenario then failed to replay with `ledgers.edge: unknown field`.
+        given = {"leaf": ResourceLedger(32, 128, 8)}
+        cfg = replace(load_scenario(DESK_EXAMPLE), ledgers=given)
+        with pytest.raises(TypeError):
+            cfg.ledgers["edge"] = ResourceLedger(1, 2, 2)
+        given["mid"] = ResourceLedger(1, 2, 2)
+        assert list(cfg.ledgers) == ["leaf"]
+        files = build_report_files(cfg)
+        recorded = json.loads(files["report.json"])["scenario"]
+        assert build_report_files(scenario_from_dict(recorded)) == files
 
     def test_malformed_json_is_parse_error(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -39,6 +39,15 @@ def random_vector_sets(seed, count):
         yield [rng.standard_normal(length) + 0.1 for _ in range(k)]
 
 
+@st.composite
+def vector_sets(draw):
+    """1 to 5 signed vectors of one length, with zeros, -0.0 and entries
+    near both ends of the float range."""
+    n = draw(st.integers(1, 5))
+    entries = st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e200, -1e-100])
+    return draw(st.lists(st.lists(entries, min_size=n, max_size=n).filter(any), min_size=1, max_size=5))
+
+
 class TestQramJoin:
     def test_single_source_join_is_identity(self):
         state = amplitude_encode([3, 4])
@@ -178,6 +187,26 @@ class TestBuiltStatesAreReadOnly:
             assert not state.amplitudes.flags.writeable
             with pytest.raises(ValueError):
                 state.amplitudes[0] = 0.0
+
+    @given(vector_sets())
+    @settings(max_examples=50)
+    def test_every_built_state_is_float64_and_read_only(self, vectors):
+        states = [amplitude_encode(v) for v in vectors]
+        joins = [
+            qram_join(states, mode=WeightMode.UNIFORM),
+            qram_join(states, [1.0] * len(states), WeightMode.NORM_PROPORTIONAL),
+            join_from_raw(vectors),
+        ]
+        built = states + [j.state for j in joins]
+        for j in joins:
+            for k in range(j.num_sources):
+                try:
+                    built.append(address_marginal(j, k).conditional)
+                except EmptyBranchError:  # a norm far below the others'
+                    pass
+        for state in built:
+            assert state.amplitudes.dtype == np.float64
+            assert not state.amplitudes.flags.writeable
 
     def test_marginal_leaves_the_joined_state_unchanged(self):
         joined = join_from_raw([[3, 4], [1, 0]])

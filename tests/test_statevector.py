@@ -31,7 +31,7 @@ vectors = st.lists(
 
 
 def basis_state(index: int, num_qubits: int) -> QuantumState:
-    amps = np.zeros(1 << num_qubits, dtype=complex)
+    amps = np.zeros(1 << num_qubits)
     amps[index] = 1.0
     return QuantumState(amps)
 
@@ -93,10 +93,30 @@ class TestQuantumStateInvariants:
         with pytest.raises(ValueError):
             QuantumState([1.0, 1.0])
 
-    @pytest.mark.parametrize("amps", [[np.nan, 0.0], [np.inf, 0.0], [complex(np.inf, np.nan), 0.0]])
+    @pytest.mark.parametrize("amps", [[np.nan, 0.0], [np.inf, 0.0]])
     def test_non_finite_amplitudes_rejected(self, amps):
         with pytest.raises(ValueError, match="is not 1"):
             QuantumState(amps)
+
+    @pytest.mark.parametrize(
+        "amps, message",
+        [
+            ([complex(np.inf, np.nan), 0.0], "amplitudes must be real; entry 0 is (inf+nanj)"),
+            (np.array([0.6, 0.8j]), "amplitudes must be real; entry 1 is 0.8j"),
+            ([0.6, complex(0.8, -1e-300)], "amplitudes must be real; entry 1 is (0.8-1e-300j)"),
+        ],
+        ids=["inf-nan", "imaginary", "tiny-imaginary"],
+    )
+    def test_complex_amplitudes_rejected(self, amps, message):
+        with pytest.raises(ValueError) as exc_info:
+            QuantumState(amps)
+        assert str(exc_info.value) == message
+
+    def test_complex_array_with_zero_imaginary_parts_is_real(self):
+        amps = np.array([complex(0.6, -0.0), -0.8], dtype=np.complex128)
+        state = QuantumState(amps)
+        assert state.amplitudes.dtype == np.float64
+        assert state.amplitudes.tolist() == [0.6, -0.8]
 
     def test_states_are_immutable(self):
         state = amplitude_encode([3, 4])
@@ -231,7 +251,7 @@ class TestEstimateExpectation:
 def oracle_encode(values) -> QuantumState:
     """Plain encoding: pad, then divide by np.linalg.norm."""
     vec = np.asarray(values, dtype=np.float64).reshape(-1)
-    padded = np.zeros(1 << int(vec.size - 1).bit_length(), dtype=np.complex128)
+    padded = np.zeros(1 << int(vec.size - 1).bit_length())
     padded[: vec.size] = vec / np.linalg.norm(vec)
     return QuantumState(padded)
 
@@ -270,19 +290,17 @@ def oracle_estimate(source, observable, shots: int, seed: int) -> EstimateResult
 
 @st.composite
 def padded_states(draw):
-    """Random states of 0 to 12 qubits, real or complex, with zero padding
-    past a random length and zeroed slots inside it."""
+    """Random signed real states of 0 to 12 qubits, with zero padding past
+    a random length and zeroed slots inside it."""
     m = draw(st.integers(0, 12))
     used = draw(st.integers(1, 1 << m))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    amps = np.zeros(1 << m, dtype=np.complex128)
+    amps = np.zeros(1 << m)
     amps[:used] = rng.standard_normal(used)
-    if draw(st.booleans()):
-        amps[:used] += 1j * rng.standard_normal(used)
     amps[:used][rng.random(used) < draw(st.sampled_from([0.0, 0.3, 0.9]))] = 0.0
     if not amps.any():
         amps[used - 1] = 1.0
-    return QuantumState(amps / np.sqrt(np.vdot(amps, amps).real))
+    return QuantumState(amps / np.sqrt(amps.dot(amps)))
 
 
 class TestSamplerOracle:
@@ -406,7 +424,7 @@ class TestSparseCounts:
 
 class TestOwnership:
     def test_constructor_copies_the_callers_array(self):
-        arr = np.array([1.0, 0.0], dtype=np.complex128)
+        arr = np.array([1.0, 0.0])
         state = QuantumState(arr)
         arr[0], arr[1] = 0.0, 1.0
         assert state.amplitudes.tolist() == [1.0, 0.0]
