@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .scaling import qubits_for_parameters
-from .statevector import ArrayLike, QuantumState, _real_vector, _unit
+from .statevector import ArrayLike, EmptyVectorError, QuantumState, amplitude_encode
 
 BRANCH_PROB_FLOOR = 1e-12
 
@@ -77,9 +77,9 @@ def qram_join(
 ) -> JoinedState:
     """Join K equal-width states under a ceil(log2 K)-qubit address.
 
-    Branch amplitudes are 1/sqrt(K) in UNIFORM mode and w_k/||w|| in
-    NORM_PROPORTIONAL mode. Omitting weights in proportional mode gives
-    every branch weight 1, which coincides with the uniform split.
+    Branch amplitudes are w_k/||w||, the weights normalised as
+    `amplitude_encode` normalises a vector. UNIFORM mode, like omitted
+    weights, gives every branch weight 1 and so amplitude 1/sqrt(K).
     """
     if len(states) == 0:
         raise ValueError("need at least one state to join")
@@ -88,18 +88,17 @@ def qram_join(
     if any(s.num_qubits != m for s in states):
         raise MixedDimensionsError("all joined states must have equal qubit count")
 
-    if mode is WeightMode.UNIFORM:
-        betas = np.full(k, 1.0 / np.sqrt(k))
+    if mode is WeightMode.UNIFORM or weights is None:
+        w = np.ones(k)
     else:
-        w = np.ones(k) if weights is None else np.asarray(weights, dtype=np.float64)
+        w = np.asarray(weights, dtype=np.float64)
         if w.shape != (k,):
             raise MixedDimensionsError(f"got {w.size} weights for {k} states")
         bad = np.flatnonzero(~((w > 0.0) & (w < np.inf)))
         if bad.size:
             i = bad[0]
             raise NonPositiveWeightError(f"weights must be positive and finite; weight {i} is {w[i]}")
-        _, scale, norm = _real_vector(w)
-        betas = (w if scale == 1.0 else w / scale) / norm
+    betas = amplitude_encode(w).amplitudes[:k]
 
     address_qubits = qubits_for_parameters(k)
     block = 1 << m
@@ -110,27 +109,25 @@ def qram_join(
 
 
 def join_from_raw(vectors: Sequence[ArrayLike]) -> JoinedState:
-    """Encode each raw vector, then join weighted by the vectors' norms.
+    """Join raw vectors weighted by their norms: one amplitude encoding.
 
-    Equal-length inputs produce the same amplitudes as encoding the
-    concatenation of the padded vectors in one go; the join only adds the
-    address bookkeeping.
+    That join is the encoding of the concatenated vectors, each zero-padded
+    to the next power of two, so the K padded vectors are written into one
+    block and encoded once. A zero vector, or one whose norm is negligible
+    beside the others', leaves an empty branch.
     """
     if len(vectors) == 0:
         raise ValueError("need at least one vector to join")
     arrays = [np.asarray(v, dtype=np.float64).reshape(-1) for v in vectors]
-    if any(a.size != arrays[0].size for a in arrays):
+    n = arrays[0].size
+    if any(a.size != n for a in arrays):
         raise MixedDimensionsError("all joined vectors must have equal length")
-    states, norms = [], []
-    for a in arrays:
-        vec, scale, norm = _real_vector(a)
-        states.append(QuantumState._adopt(_unit(vec, scale, norm)))
-        norms.append((scale, norm))
-    # Only the weights' ratios matter: one common scale keeps them finite
-    # and nonzero where a plain sum of squares would leave the float range.
-    top = max(scale for scale, _ in norms)
-    weights = [norm * (scale / top) for scale, norm in norms]
-    return qram_join(states, weights, WeightMode.NORM_PROPORTIONAL)
+    if n == 0:
+        raise EmptyVectorError("cannot encode an empty vector")
+    k, m = len(arrays), qubits_for_parameters(n)
+    block = np.zeros((k, 1 << m))
+    block[:, :n] = arrays
+    return JoinedState(amplitude_encode(block.reshape(-1)), k, m, WeightMode.NORM_PROPORTIONAL)
 
 
 def address_marginal(joined: JoinedState, k: int) -> AddressBranch:

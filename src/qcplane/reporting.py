@@ -4,8 +4,8 @@ Deterministic report serialization.
 CSV cells: integers verbatim, reals with 12 significant digits, "." as the
 decimal separator regardless of locale. JSON is standard (RFC 8259): an
 infinite value is written as the string "inf" or "-inf", like its CSV
-cell, and NaN is refused. Files are written to a temporary name in the
-target directory and renamed into place, so readers never see a
+cell, and NaN is refused. A report file is written to a temporary name in
+the target directory and renamed into place, so readers never see a
 half-written report and a failed run leaves nothing behind.
 """
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
+import stat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -58,10 +58,25 @@ def json_text(obj) -> str:
 
 
 def write_atomic(path: str | Path, text: str) -> None:
-    """Write text via temp-then-rename in the destination directory."""
+    """Write text to path, via temp-then-rename in the destination directory.
+
+    The new file gets mode 0o666 less the umask, as `open(path, "w")` would
+    give a new file. Only an absent path or a regular file is replaced: any
+    other target (a FIFO, a device, a symlink such as /dev/stdout) is opened
+    and written in place.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        replace = stat.S_ISREG(os.lstat(path).st_mode)
+    except FileNotFoundError:
+        replace = True
+    if not replace:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+        return
+    tmp_name = path.parent / f".{path.name}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)

@@ -94,6 +94,21 @@ class TestJoin:
         assert lines[0] == "index,address,data_index,amplitude_real,amplitude_imag,probability"
         assert len(lines) == 5
 
+    def test_zero_vector_is_an_empty_branch_unless_uniform(self, tmp_path, capsys):
+        vecs = tmp_path / "vectors.txt"
+        vecs.write_text("0 0\n3 4\n")
+        code, out, err = run_cli(capsys, "join", "--input", str(vecs))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:3] == ["0,0,0,0,0,0", "1,0,1,0,0,0"]
+        code, out, err = run_cli(capsys, "join", "--input", str(vecs), "--weight-mode", "uniform")
+        assert (code, out, err) == (3, "", "error: cannot encode a zero vector\n")
+
+    def test_empty_vectors_exit_3(self, tmp_path, capsys):
+        vecs = tmp_path / "vectors.json"
+        vecs.write_text("[[], []]")
+        code, out, err = run_cli(capsys, "join", "--input", str(vecs))
+        assert (code, out, err) == (3, "", "error: cannot encode an empty vector\n")
+
     def test_mixed_lengths_exit_3(self, tmp_path, capsys):
         vecs = tmp_path / "vectors.json"
         vecs.write_text("[[1, 0], [1, 2, 3]]")

@@ -14,11 +14,17 @@ and list the change in CHANGES.md.
 Every case but `encode` and `join` also runs in a child process in which
 numpy cannot be imported, and must give the same bytes there: the
 accounting path never loads numpy.
+
+tests/golden/scenario-diagnostics.json holds the scenario validator's
+verdict on a seeded sample of mutated scenarios: for each, the field and
+message it is refused with, or the scenario it reads as.
 """
 import contextlib
+import copy
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -43,6 +49,7 @@ BASE = {
     "join-json-uniform": ["join", "--input", str(INPUTS / "vectors.json"), "--weight-mode", "uniform"],
     "join-lines": ["join", "--input", str(INPUTS / "vectors.txt")],
     "join-lines-uniform": ["join", "--input", str(INPUTS / "vectors.txt"), "--weight-mode", "uniform"],
+    "join-underflow": ["join", "--input", str(INPUTS / "underflow.txt")],
     "scale-range": ["scale", "--sweep", "K", "--from", "2", "--to", "1024",
                     "--n", "1024", "--k", "1024", "--p", "2000"],
     "scale-values": ["scale", "--sweep", "P", "--values", "1,2,2000", "--n", "3", "--k", "5",
@@ -69,6 +76,76 @@ CASES = {
     "run-desk": ["run", DESK, "--output", OUT],
     "run-desk-seed": ["run", DESK, "--output", OUT, "--seed", "11"],
 }
+
+
+DIAGNOSTICS = GOLDEN / "scenario-diagnostics.json"
+# A leaf is set to one of these; the strings in TOKENS go into the file as
+# bare JSON tokens, which Python's json reads as non-finite floats.
+LEAF_VALUES = [None, True, "x", -1, 0, 1.5, [], {}, "NaN", "Infinity", "1e999"]
+TOKENS = ("NaN", "Infinity", "1e999")
+
+
+def _locations(obj, path=""):
+    """(dotted path, container, key) of every entry under obj, depth first."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        where = f"{path}[{key}]" if isinstance(key, int) else f"{path}.{key}".lstrip(".")
+        yield where, obj, key
+        if isinstance(value, (dict, list)):
+            yield from _locations(value, where)
+
+
+def scenario_mutations(count: int = 300, seed: int = 19):
+    """(base, mutation, scenario text): `count` seeded single mutations of
+    the minimal test scenario and the two bundled ones. Each drops a key,
+    adds an unknown key or sets a leaf to one of LEAF_VALUES."""
+    from test_config import minimal_scenario
+
+    bases = {
+        "minimal": minimal_scenario(),
+        "paper": json.loads(Path(PAPER).read_text(encoding="utf-8")),
+        "desk": json.loads(Path(DESK).read_text(encoding="utf-8")),
+    }
+    rng = random.Random(seed)
+    for _ in range(count):
+        base = rng.choice(sorted(bases))
+        data = copy.deepcopy(bases[base])
+        entries = list(_locations(data))
+        kind = rng.choice(["drop", "add", "set"])
+        if kind == "drop":
+            where, parent, key = rng.choice([e for e in entries if isinstance(e[1], dict)])
+            del parent[key]
+            mutation = f"drop {where}"
+        elif kind == "add":
+            sections = [("", data)] + [(w, p[k]) for w, p, k in entries if isinstance(p[k], dict)]
+            where, section = rng.choice(sections)
+            section["extra"] = 1
+            mutation = f"add {where + '.' if where else ''}extra"
+        else:
+            where, parent, key = rng.choice([e for e in entries if not isinstance(e[1][e[2]], (dict, list))])
+            value = rng.choice(LEAF_VALUES)
+            parent[key] = value
+            mutation = f"set {where} = {value if value in TOKENS else json.dumps(value)}"
+        text = json.dumps(data)
+        for token in TOKENS:
+            text = text.replace(f'"{token}"', token)
+        yield base, mutation, text
+
+
+def scenario_diagnostics() -> str:
+    """The verdict on every mutation, one JSON object a line in one array."""
+    from qcplane.config import scenario_from_dict, scenario_to_dict
+    from qcplane.scaling import FieldError
+
+    records = []
+    for base, mutation, text in scenario_mutations():
+        record = {"base": base, "mutation": mutation}
+        try:
+            record["scenario"] = scenario_to_dict(scenario_from_dict(json.loads(text)))
+        except FieldError as exc:
+            record.update(field=exc.field, error=str(exc))
+        records.append(json.dumps(record, sort_keys=True, allow_nan=False))
+    return "[\n" + ",\n".join(records) + "\n]\n"
 
 
 def execute(argv: list[str], outdir: Path) -> tuple[int, str, str, dict[str, bytes]]:
@@ -131,8 +208,12 @@ def test_statevector_cases_need_numpy(case, tmp_path):
     assert "ModuleNotFoundError: import of numpy halted" in stderr
 
 
+def test_scenario_diagnostics_match_golden():
+    assert scenario_diagnostics().encode("utf-8") == DIAGNOSTICS.read_bytes()
+
+
 def test_every_golden_file_belongs_to_a_case():
-    names = {p.name for p in GOLDEN.iterdir()} - {"inputs", "status.json"}
+    names = {p.name for p in GOLDEN.iterdir()} - {"inputs", "status.json", DIAGNOSTICS.name}
     expected = {f"{case}.stdout" for case in CASES} | {c for c in CASES if c.startswith("run-")}
     assert names == expected
 
@@ -150,6 +231,7 @@ def regenerate() -> None:
             for name, data in files.items():
                 (GOLDEN / case / name).write_bytes(data)
     (GOLDEN / "status.json").write_text(json.dumps(status, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    DIAGNOSTICS.write_text(scenario_diagnostics(), encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from qcplane.qram import (
     join_from_raw,
     qram_join,
 )
-from qcplane.statevector import amplitude_encode
+from qcplane.statevector import EmptyVectorError, ZeroVectorError, amplitude_encode
 
 
 def concat_oracle(vectors):
@@ -95,6 +95,14 @@ class TestQramJoin:
         with pytest.raises(NonPositiveWeightError):
             qram_join(states, weights=[1.0, -2.0])
 
+    @given(vector_sets())
+    @settings(max_examples=50)
+    def test_uniform_mode_is_unit_weights(self, vectors):
+        states = [amplitude_encode(v) for v in vectors]
+        uniform = qram_join(states, mode=WeightMode.UNIFORM)
+        ones = qram_join(states, [1.0] * len(states))
+        np.testing.assert_array_equal(uniform.state.amplitudes, ones.state.amplitudes)
+
     def test_weights_ignored_in_uniform_mode(self):
         states = [amplitude_encode([1, 0]), amplitude_encode([0, 1])]
         a = qram_join(states, weights=[100.0, 1.0], mode=WeightMode.UNIFORM)
@@ -138,17 +146,40 @@ class TestJoinFromRaw:
             join_from_raw([[1, 2], [1, 2, 3]])
 
     def test_equals_concatenation_encoding_on_random_instances(self):
-        # 100 random instances, K <= 16, m <= 6, <= 10 total qubits.
+        # 100 random instances, K <= 16, m <= 6, <= 10 total qubits. The
+        # join is the concatenation's encoding, so the bits agree.
         count = 0
         for vectors in random_vector_sets(seed=2024, count=100):
             joined = join_from_raw(vectors)
             want = concat_oracle(vectors)
             assert joined.state.num_qubits == want.num_qubits
-            np.testing.assert_allclose(
-                joined.state.amplitudes, want.amplitudes, atol=1e-10
-            )
+            np.testing.assert_array_equal(joined.state.amplitudes, want.amplitudes)
             count += 1
         assert count == 100
+
+    def test_norms_a_float_range_apart_leave_an_empty_branch(self):
+        # The second vector's amplitude rounds to zero beside the first's;
+        # the join does not turn it into a weight of its own.
+        joined = join_from_raw([[1e200], [1e-200]])
+        np.testing.assert_array_equal(joined.state.amplitudes, [1.0, 0.0])
+        assert address_marginal(joined, 0).probability == 1.0
+        with pytest.raises(EmptyBranchError):
+            address_marginal(joined, 1)
+
+    def test_zero_vector_leaves_an_empty_branch(self):
+        joined = join_from_raw([[0, 0], [3, 4], [0, 0]])
+        np.testing.assert_allclose(joined.state.amplitudes, [0, 0, 0.6, 0.8, 0, 0, 0, 0], atol=1e-15)
+        for k in (0, 2):
+            with pytest.raises(EmptyBranchError):
+                address_marginal(joined, k)
+
+    def test_all_zero_set_rejected(self):
+        with pytest.raises(ZeroVectorError, match="cannot encode a zero vector"):
+            join_from_raw([[0, 0], [0, -0.0]])
+
+    def test_empty_vectors_rejected(self):
+        with pytest.raises(EmptyVectorError, match="^cannot encode an empty vector$"):
+            join_from_raw([[], []])
 
 
     @pytest.mark.parametrize(
@@ -245,10 +276,7 @@ class TestAddressMarginal:
             address_marginal(joined, -1)
 
     def test_empty_branch_detected(self):
-        # A zero-weight branch cannot arise from the join API, so build one
-        # state by hand through the uniform join of orthogonal inputs and
-        # query the dead half of a conditional-free address: K=2 join where
-        # branch 1 carries ~0 weight via extreme norm_proportional weights.
+        # Branch 1's weight is negligible beside branch 0's.
         states = [amplitude_encode([1, 0]), amplitude_encode([0, 1])]
         joined = qram_join(states, weights=[1.0, 1e-9])
         with pytest.raises(EmptyBranchError):

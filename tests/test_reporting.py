@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import stat
+import threading
 
 import pytest
 
@@ -62,3 +65,39 @@ class TestWriteAtomic:
         target = tmp_path / "report.csv"
         write_atomic(target, "data\n")
         assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_new_and_replaced_files_get_the_umask_mode(self, tmp_path, umask):
+        target = tmp_path / "report.json"
+        old = os.umask(umask)
+        try:
+            write_atomic(target, "{}\n")
+            new_mode = stat.S_IMODE(target.stat().st_mode)
+            target.chmod(0o600)
+            write_atomic(target, "[]\n")
+            replaced_mode = stat.S_IMODE(target.stat().st_mode)
+        finally:
+            os.umask(old)
+        assert new_mode == replaced_mode == 0o666 & ~umask
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        write_atomic(fifo, "x,y\n1,2\n")
+        reader.join(timeout=10)
+        assert received == ["x,y\n1,2\n"]
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe"]
+
+    def test_symlink_is_written_through(self, tmp_path):
+        real = tmp_path / "real.csv"
+        real.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        write_atomic(link, "new\n")
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_text() == "new\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
