@@ -31,7 +31,7 @@ from .config import ScenarioParseError, load_scenario
 from .exchange import InfeasibleError, LinkLoad, ResourceLedger, balance_link
 from .netsim import simulate_collection
 from .reporting import csv_text, json_text, table_csv, write_atomic
-from .scaling import FieldError, TopologySpec, scaling_table
+from .scaling import FieldError, TopologySpec, scaling_table, shown
 
 if TYPE_CHECKING:
     from .qram import JoinedState
@@ -63,8 +63,8 @@ def _entry(where: str, value) -> float:
         except OverflowError:
             number = math.inf
     if not math.isfinite(number):
-        shown = value if isinstance(value, str) else json.dumps(number)
-        raise ValueError(f"{where}: vector entries must be finite, got {shown}")
+        got = value if isinstance(value, str) else shown(number)
+        raise ValueError(f"{where}: vector entries must be finite, got {got}")
     return number
 
 

@@ -32,14 +32,14 @@ exact and draws nothing at random, so no other report byte depends on it.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
-from dataclasses import MISSING, dataclass, fields
+from collections.abc import Collection, Mapping
+from dataclasses import MISSING, dataclass
 from pathlib import Path
 from types import MappingProxyType
 
 from .exchange import ResourceLedger
 from .netsim import EnergyModel, LinkSpec, TierLinks
-from .scaling import FieldError, TopologySpec, check_fields, instance, normalize_sweep_parameter
+from .scaling import FieldError, TopologySpec, check_fields, instance, normalize_sweep_parameter, schema, shown
 
 MODES = ("classical", "quantum", "both")
 
@@ -60,7 +60,7 @@ def _sweep_field(name: str, value):
         raise ValueError("must be a non-empty list")
     for i, v in enumerate(value):
         if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-            raise FieldError(f"values[{i}]", f"must be an integer >= 1, got {v!r}")
+            raise FieldError(f"values[{i}]", f"must be an integer >= 1, got {shown(v)}")
     return tuple(value)
 
 
@@ -76,11 +76,7 @@ class SweepSpec:
         check_fields(self, _sweep_field)
 
 
-def _names(cls) -> list[str]:
-    return [f.name for f in fields(cls)]
-
-
-_LINKS = _names(TierLinks)
+_LINKS = tuple(schema(TierLinks))
 # The kind of each section; only `sweep` may be None.
 _SECTIONS = {"topology": TopologySpec, "links": TierLinks, "energy": EnergyModel, "sweep": SweepSpec}
 
@@ -89,7 +85,7 @@ def _scenario_field(name: str, value):
     if name == "seed" and (not isinstance(value, int) or isinstance(value, bool)):
         raise ValueError("must be present and an integer")
     if name == "mode" and value not in MODES:
-        raise ValueError(f"must be one of {MODES}, got {value!r}")
+        raise ValueError(f"must be one of {MODES}, got {shown(value)}")
     if name == "ledgers":
         value = MappingProxyType(dict(instance(value, Mapping)))
         for link, ledger in value.items():
@@ -119,7 +115,7 @@ class ScenarioConfig:
         check_fields(self, _scenario_field)
 
 
-def _object(obj, path: str, allowed: list[str]) -> dict:
+def _object(obj, path: str, allowed: Collection[str]) -> dict:
     """`obj`, the JSON found at `path` (MISSING if absent), if it is an object
     whose keys are all in `allowed`."""
     if obj is MISSING:
@@ -140,10 +136,10 @@ def _section(cls, obj, path: str):
     `cls` holds every value to its contract; its FieldError is raised again
     with `path` in front of the field.
     """
-    schema = fields(cls)
-    obj = _object(obj, path, [f.name for f in schema])
+    defaults = schema(cls)
+    obj = _object(obj, path, defaults)
     try:
-        return cls(**{f.name: obj.get(f.name, f.default) for f in schema})
+        return cls(**{name: obj.get(name, default) for name, default in defaults.items()})
     except FieldError as exc:
         raise FieldError(f"{path}.{exc.field}", exc.message) from None
 
@@ -152,7 +148,7 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Validate a parsed scenario object, reporting the first bad field."""
     if not isinstance(data, dict):
         raise ScenarioParseError("scenario must be a JSON object")
-    _object(data, "", _names(ScenarioConfig))
+    _object(data, "", schema(ScenarioConfig))
     topology = _section(TopologySpec, data.get("topology", MISSING), "topology")
     given = _object(data.get("links", MISSING), "links", _LINKS)
     links = TierLinks(**{

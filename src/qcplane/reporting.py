@@ -2,18 +2,20 @@
 Deterministic report serialization.
 
 CSV cells: integers verbatim, reals with 12 significant digits, "." as the
-decimal separator regardless of locale. JSON is standard (RFC 8259): an
-infinite value is written as the string "inf" or "-inf", like its CSV
-cell, and NaN is refused. A report file is written to a temporary name in
-the target directory and renamed into place, so readers never see a
-half-written report and a failed run leaves nothing behind.
+decimal separator regardless of locale. JSON is standard (RFC 8259) and is
+written in one direct pass over the report: the bytes of
+`json.dumps(obj, indent=2, sort_keys=True)`, except that an infinite value
+is written as the string "inf" or "-inf", like its CSV cell. NaN is
+refused, and every key must be a string. A report file is written to a
+temporary name in the target directory and renamed into place, so readers
+never see a half-written report and a failed run leaves nothing behind.
 """
 from __future__ import annotations
 
-import json
 import math
 import os
 import stat
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -41,20 +43,66 @@ def table_csv(records: Sequence[dict]) -> str:
     return csv_text(list(records[0]), [record.values() for record in records])
 
 
-def _standard(obj):
-    """Infinite floats as their CSV cell ("inf"), since RFC 8259 JSON has none."""
-    if isinstance(obj, float) and math.isinf(obj):
-        return format_cell(obj)
-    if isinstance(obj, dict):
-        return {key: _standard(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_standard(value) for value in obj]
-    return obj
-
-
 def json_text(obj) -> str:
     """Standard JSON only: infinities become "inf" strings, NaN is refused."""
-    return json.dumps(_standard(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+    chunks: list[str] = []
+    _write(obj, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write(obj, newline: str, put) -> None:
+    """Pass the JSON text of `obj` to `put`, chunk by chunk. `newline` is a
+    line break followed by the indent of the line that holds `obj`.
+
+    As in json: str is checked before int (a str enum member is its value)
+    and bools before int, and int and float subclasses print as their value.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            put(sep)
+            put(_string(key))
+            put(": ")
+            _write(value, inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif isinstance(obj, str):
+        put(_string(obj))
+    elif obj is None:
+        put("null")
+    elif obj is True:
+        put("true")
+    elif obj is False:
+        put("false")
+    elif isinstance(obj, int):
+        put(int.__repr__(obj))
+    elif isinstance(obj, float):
+        if obj - obj == 0.0:
+            put(float.__repr__(obj))
+        elif obj != obj:
+            raise ValueError("Out of range float values are not JSON compliant: nan")
+        else:
+            put(f'"{format_cell(obj)}"')
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            put(sep)
+            _write(value, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def write_atomic(path: str | Path, text: str) -> None:

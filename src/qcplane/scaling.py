@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, fields, replace
 from enum import Enum
+from functools import cache
+from types import MappingProxyType
 from typing import Callable, Iterable
 
 
@@ -35,10 +38,19 @@ class FieldError(ValueError):
         self.message = message
 
 
+def shown(value) -> str:
+    """`value` as a diagnostic shows it: a non-finite float as its JSON token
+    (NaN, Infinity, -Infinity), as in the scenario file; anything else as its
+    repr."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return json.dumps(value)
+    return repr(value)
+
+
 def integer(value, minimum: int) -> int:
     """`value` if it is an int (not a bool) of at least `minimum`."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"must be an integer, got {value!r}")
+        raise ValueError(f"must be an integer, got {shown(value)}")
     if value < minimum:
         raise ValueError(f"must be >= {minimum}, got {value}")
     return value
@@ -58,7 +70,7 @@ def number(value, positive: bool) -> float:
     except OverflowError:
         result = math.inf
     if not math.isfinite(result):
-        raise ValueError(f"must be finite, got {json.dumps(result)}")
+        raise ValueError(f"must be finite, got {shown(result)}")
     if positive and not result > 0:
         raise ValueError(f"must be > 0, got {value}")
     if result < 0:
@@ -69,8 +81,15 @@ def number(value, positive: bool) -> float:
 def instance(value, cls: type):
     """`value` if it is a `cls`."""
     if not isinstance(value, cls):
-        raise ValueError(f"must be a {cls.__name__}, got {value!r}")
+        raise ValueError(f"must be a {cls.__name__}, got {shown(value)}")
     return value
+
+
+@cache
+def schema(cls: type) -> Mapping[str, object]:
+    """The fields of dataclass `cls`, in field order, each with its default
+    (MISSING for a required field); computed once per class."""
+    return MappingProxyType({f.name: f.default for f in fields(cls)})
 
 
 def check_fields(obj, check: Callable[[str, object], object]) -> None:
@@ -81,18 +100,18 @@ def check_fields(obj, check: Callable[[str, object], object]) -> None:
     the check becomes a FieldError naming the field, and a FieldError (one
     naming a part of the field) passes through as it is.
     """
-    for f in fields(obj):
-        value = getattr(obj, f.name)
+    for name in schema(type(obj)):
+        value = getattr(obj, name)
         if value is MISSING:
-            raise FieldError(f.name, "missing required field")
+            raise FieldError(name, "missing required field")
         try:
-            checked = check(f.name, value)
+            checked = check(name, value)
         except FieldError:
             raise
         except ValueError as exc:
-            raise FieldError(f.name, str(exc)) from None
+            raise FieldError(name, str(exc)) from None
         if checked is not value:
-            object.__setattr__(obj, f.name, checked)
+            object.__setattr__(obj, name, checked)
 
 
 class Unit(str, Enum):

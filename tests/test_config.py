@@ -14,7 +14,7 @@ from qcplane.config import (
     scenario_to_dict,
 )
 from qcplane.exchange import ResourceLedger
-from qcplane.netsim import LinkSpec
+from qcplane.netsim import LinkSpec, TierLinks
 from qcplane.runner import build_report_files
 from qcplane.scaling import TopologySpec
 
@@ -116,6 +116,35 @@ class TestValidation:
             scenario_from_dict(data)
         assert exc_info.value.field == f"{section}.{field}"
         assert json.dumps(value) in str(exc_info.value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "where,place",
+        [
+            ("topology.shots", lambda d: (d["topology"], "shots")),
+            ("ledgers.leaf.ebits", lambda d: (d["ledgers"]["leaf"], "ebits")),
+            ("sweep.values[1]", lambda d: (d["sweep"]["values"], 1)),
+            ("mode", lambda d: (d, "mode")),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "",
+    )
+    def test_non_finite_values_are_shown_as_their_json_token(self, where, place, value):
+        # Integer, list-item and choice fields show a non-finite value as
+        # the real fields do: as the token a scenario file would hold.
+        data = minimal_scenario()
+        data["ledgers"] = {"leaf": {"ebits": 1, "classical_capacity": 2, "quantum_capacity": 2}}
+        data["sweep"] = {"parameter": "K", "values": [1, 2]}
+        obj, key = place(data)
+        obj[key] = value
+        with pytest.raises(ScenarioValidationError) as exc_info:
+            scenario_from_dict(data)
+        assert exc_info.value.field == where
+        assert str(exc_info.value).endswith(f", got {json.dumps(value)}")
+
+    def test_non_finite_section_is_shown_as_its_json_token(self):
+        with pytest.raises(ScenarioValidationError) as exc_info:
+            TierLinks(leaf=math.inf, mid=LinkSpec(1.0, 1.0, 1.0))
+        assert str(exc_info.value) == "leaf: must be a LinkSpec, got Infinity"
 
     @pytest.mark.parametrize(
         "token", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400], ids=lambda t: t[:9]

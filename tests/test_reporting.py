@@ -5,8 +5,11 @@ import stat
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcplane.reporting import csv_text, format_cell, json_text, write_atomic
+from qcplane.scaling import Unit
 
 
 class TestFormatCell:
@@ -51,6 +54,93 @@ def test_json_text_refuses_nan():
 
 def _reject(token):
     raise ValueError(f"non-standard JSON constant {token}")
+
+
+def oracle_standard(obj):
+    """`obj` with each infinite float as its CSV cell and tuples as lists:
+    what the stdlib encoder is given."""
+    if isinstance(obj, float) and math.isinf(obj):
+        return "inf" if obj > 0 else "-inf"
+    if isinstance(obj, dict):
+        return {key: oracle_standard(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [oracle_standard(value) for value in obj]
+    return obj
+
+
+def oracle_json(obj) -> str:
+    return json.dumps(oracle_standard(obj), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+# Control characters, quotes, backslashes, non-ASCII and astral text.
+TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\té€\u2028😀'), st.characters()), max_size=8)
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**80), 2**80),
+    st.floats(allow_nan=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf]),
+    st.sampled_from(list(Unit)),
+    TEXT,
+)
+
+
+def containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(TEXT, children, max_size=4),
+    )
+
+
+TREES = st.recursive(LEAVES, containers, max_leaves=40)
+SIBLINGS = st.recursive(LEAVES, containers, max_leaves=6)
+
+
+def holding(leaf):
+    """Trees with `leaf` somewhere in them, at any depth."""
+    return st.recursive(
+        leaf,
+        lambda inner: st.one_of(
+            st.tuples(st.lists(SIBLINGS, max_size=2), inner, st.lists(SIBLINGS, max_size=2)).map(
+                lambda t: [*t[0], t[1], *t[2]]
+            ),
+            st.tuples(st.dictionaries(TEXT, SIBLINGS, max_size=2), TEXT, inner).map(
+                lambda t: {**t[0], t[1]: t[2]}
+            ),
+        ),
+        max_leaves=4,
+    )
+
+
+class TestJsonTextAgainstTheStdlib:
+    @given(TREES)
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_as_json_dumps(self, tree):
+        assert json_text(tree) == oracle_json(tree)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [{}, [], (), {"a": {}, "b": [], "c": ()}, [[[]]], 2**64 + 1, -(2**63) - 1,
+         {"x": [-0.0, 5e-324, 1.7976931348623157e308, -math.inf]}, Unit.QUBITS,
+         {"\x00\"\\é😀": "\u2028\x7f"}, None, True],
+    )
+    def test_edge_cases(self, tree):
+        assert json_text(tree) == oracle_json(tree)
+
+    @given(holding(st.just(math.nan)))
+    @settings(max_examples=150, deadline=None)
+    def test_nan_at_any_depth_is_refused(self, tree):
+        with pytest.raises(ValueError, match="not JSON compliant: nan"):
+            json_text(tree)
+
+    @given(holding(st.dictionaries(st.one_of(st.integers(), st.floats(), st.none(), st.booleans()),
+                                   SIBLINGS, min_size=1, max_size=3)))
+    @settings(max_examples=150, deadline=None)
+    def test_non_string_key_is_refused(self, tree):
+        with pytest.raises(TypeError):
+            json_text(tree)
 
 
 class TestWriteAtomic:
