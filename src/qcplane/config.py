@@ -16,15 +16,15 @@ A scenario is one JSON object (see README for the full schema):
     }
 
 The dataclasses state the schema once: the walk order, the allowed keys and
-the defaults of each section are the fields of `TopologySpec`,
-`TierLinks`/`LinkSpec`, `EnergyModel`, `ResourceLedger` and `SweepSpec`, and
-the top-level keys are those of `ScenarioConfig`. Each of those dataclasses
-holds its own fields to their contract in `__post_init__`, whether it is
-built here or in Python, and raises `FieldError` (a ValueError, alias
-`ScenarioValidationError`) naming the field. This module only walks the
-JSON, rejects unknown keys and puts the section's dotted path in front of
-the field, so the first offender is reported by its full path and a bad
-file always produces the same diagnostic.
+the defaults of each section are the fields of `ScenarioConfig`,
+`TopologySpec`, `TierLinks`/`LinkSpec`, `EnergyModel`,
+`TierLedgers`/`ResourceLedger` and `SweepSpec`. Each holds its own fields to
+their contract in `__post_init__`, whether it is built here or in Python,
+and raises `FieldError` (a ValueError, alias `ScenarioValidationError`)
+naming the field. `_section` reads a file in one recursive walk over them:
+it rejects unknown keys and puts the dotted path in front of the field, so
+a bad file always produces the same diagnostic. `scenario_to_dict` leaves
+an absent section (no sweep, no ledger on any link) out.
 
 The `seed` is recorded in report.json for provenance. The accounting is
 exact and draws nothing at random, so no other report byte depends on it.
@@ -32,10 +32,8 @@ exact and draws nothing at random, so no other report byte depends on it.
 from __future__ import annotations
 
 import json
-from collections.abc import Collection, Mapping
 from dataclasses import MISSING, dataclass
 from pathlib import Path
-from types import MappingProxyType
 
 from .exchange import ResourceLedger
 from .netsim import EnergyModel, LinkSpec, TierLinks
@@ -76,129 +74,109 @@ class SweepSpec:
         check_fields(self, _sweep_field)
 
 
-_LINKS = tuple(schema(TierLinks))
-# The kind of each section; only `sweep` may be None.
-_SECTIONS = {"topology": TopologySpec, "links": TierLinks, "energy": EnergyModel, "sweep": SweepSpec}
-
-
 def _scenario_field(name: str, value):
     if name == "seed" and (not isinstance(value, int) or isinstance(value, bool)):
         raise ValueError("must be present and an integer")
     if name == "mode" and value not in MODES:
         raise ValueError(f"must be one of {MODES}, got {shown(value)}")
-    if name == "ledgers":
-        value = MappingProxyType(dict(instance(value, Mapping)))
-        for link, ledger in value.items():
-            if link not in _LINKS:
-                raise FieldError(f"ledgers.{link}", "unknown field")
-            if not isinstance(ledger, ResourceLedger):
-                raise FieldError(f"ledgers.{link}", f"must be a ResourceLedger, got {ledger!r}")
-    if name in _SECTIONS and (value is not None or name != "sweep"):
-        instance(value, _SECTIONS[name])
+    if name in _PARTS[ScenarioConfig] and (value is not None or name != "sweep"):
+        instance(value, _PARTS[ScenarioConfig][name])
     return value
 
 
 @dataclass(frozen=True)
+class TierLedgers:
+    """Each link's ebit ledger, by the names of `TierLinks`; None for none."""
+
+    leaf: ResourceLedger | None = None
+    mid: ResourceLedger | None = None
+
+    def __post_init__(self):
+        check_fields(self, lambda name, value: value if value is None else instance(value, ResourceLedger))
+
+
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """One scenario; `ledgers` maps names of `TierLinks` fields to ledgers
-    and is held as a read-only copy of the mapping given."""
+    """One scenario. `seed` and `mode` default to None only so the fields
+    keep the file's order; both are required."""
 
     topology: TopologySpec
     links: TierLinks
     energy: EnergyModel
-    ledgers: Mapping[str, ResourceLedger]
-    sweep: SweepSpec | None
-    seed: int
-    mode: str
+    ledgers: TierLedgers = TierLedgers()
+    sweep: SweepSpec | None = None
+    seed: int | None = None
+    mode: str | None = None
 
     def __post_init__(self):
         check_fields(self, _scenario_field)
 
 
-def _object(obj, path: str, allowed: Collection[str]) -> dict:
-    """`obj`, the JSON found at `path` (MISSING if absent), if it is an object
-    whose keys are all in `allowed`."""
+# The fields of each class that are sections themselves, with their kinds:
+# the fields `_section` descends into.
+_PARTS = {
+    ScenarioConfig: {"topology": TopologySpec, "links": TierLinks, "energy": EnergyModel,
+                     "ledgers": TierLedgers, "sweep": SweepSpec},
+    TierLinks: dict.fromkeys(schema(TierLinks), LinkSpec),
+    TierLedgers: dict.fromkeys(schema(TierLedgers), ResourceLedger),
+}
+
+
+def _section(cls, obj, path: str):
+    """Build dataclass `cls` from the JSON object found at `path` (MISSING
+    if absent): reject unknown keys, build each section field that is
+    present or required by the same walk, pass an absent field its default
+    (MISSING if required), and raise the FieldError of `cls` again with
+    `path` in front of the field."""
     if obj is MISSING:
         raise FieldError(path, "missing required field")
     if not isinstance(obj, dict):
         raise FieldError(path, "must be an object")
-    for key in obj:
-        if key not in allowed:
-            raise FieldError(f"{path}.{key}" if path else key, "unknown field")
-    return obj
-
-
-def _section(cls, obj, path: str):
-    """Build dataclass `cls` from the JSON object `obj` found at `path`.
-
-    Only the keys are read here: an unknown one is rejected and an absent
-    one is passed as the field's default, MISSING for a required field.
-    `cls` holds every value to its contract; its FieldError is raised again
-    with `path` in front of the field.
-    """
+    prefix = f"{path}." if path else ""
     defaults = schema(cls)
-    obj = _object(obj, path, defaults)
+    for key in obj:
+        if key not in defaults:
+            raise FieldError(prefix + key, "unknown field")
+    parts = _PARTS.get(cls, {})
+    values = {}
+    for name, default in defaults.items():
+        value = obj.get(name, default)
+        if name in parts and (name in obj or default is MISSING):
+            value = _section(parts[name], value, prefix + name)
+        values[name] = value
     try:
-        return cls(**{name: obj.get(name, default) for name, default in defaults.items()})
+        return cls(**values)
     except FieldError as exc:
-        raise FieldError(f"{path}.{exc.field}", exc.message) from None
+        raise FieldError(prefix + exc.field, exc.message) from None
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Validate a parsed scenario object, reporting the first bad field."""
     if not isinstance(data, dict):
         raise ScenarioParseError("scenario must be a JSON object")
-    _object(data, "", schema(ScenarioConfig))
-    topology = _section(TopologySpec, data.get("topology", MISSING), "topology")
-    given = _object(data.get("links", MISSING), "links", _LINKS)
-    links = TierLinks(**{
-        link: _section(LinkSpec, given.get(link, MISSING), f"links.{link}") for link in _LINKS
-    })
-    energy = _section(EnergyModel, data.get("energy", MISSING), "energy")
-    given = _object(data.get("ledgers", {}), "ledgers", _LINKS)
-    ledgers = {
-        link: _section(ResourceLedger, given[link], f"ledgers.{link}")
-        for link in _LINKS
-        if link in given
-    }
-    sweep = _section(SweepSpec, data["sweep"], "sweep") if "sweep" in data else None
-    return ScenarioConfig(
-        topology=topology,
-        links=links,
-        energy=energy,
-        ledgers=ledgers,
-        sweep=sweep,
-        seed=data.get("seed"),
-        mode=data.get("mode"),
-    )
+    return _section(ScenarioConfig, data, "")
 
 
 def _plain(obj) -> dict:
-    """A dataclass, dict or mappingproxy as a JSON object: nested ones
-    likewise, tuples as lists. Shallow vars() rather than dataclasses.asdict,
-    which deep-copies every leaf and costs ten times as much here."""
+    """A dataclass as a JSON object: nested ones likewise, tuples as lists,
+    and a field that holds nothing (None, or a section whose fields all do)
+    left out. Shallow vars() rather than dataclasses.asdict, which
+    deep-copies every leaf and costs ten times as much here."""
     data = {}
-    for key, value in (obj if isinstance(obj, (dict, MappingProxyType)) else vars(obj)).items():
+    for key, value in vars(obj).items():
         if isinstance(value, tuple):
             value = list(value)
         elif value is not None and not isinstance(value, (int, float, str)):
-            value = _plain(value)
-        data[key] = value
+            value = _plain(value) or None
+        if value is not None:
+            data[key] = value
     return data
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     """Inverse of scenario_from_dict: the result re-validates identically.
-
-    Every field of the scenario's dataclasses, by name; `ledgers` and
-    `sweep` are left out when the scenario has none.
-    """
-    data = _plain(cfg)
-    if not cfg.ledgers:
-        del data["ledgers"]
-    if cfg.sweep is None:
-        del data["sweep"]
-    return data
+    It has no key for an absent sweep or ledger, nor `ledgers` for none."""
+    return _plain(cfg)
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

@@ -17,6 +17,7 @@ comes from the load alone, not from technology constants.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .scaling import (
@@ -97,6 +98,12 @@ class CollectionResult:
     available_bandwidth: float
 
 
+def _count(name: str, value: float) -> None:
+    """Refuse a symbol or instruction count that is negative or not finite."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+
+
 def link_latency(
     message_size: float,
     link: LinkSpec,
@@ -108,8 +115,8 @@ def link_latency(
     `backlog` counts symbols already queued ahead; both it and the message
     drain at the link's rate for the chosen symbol kind.
     """
-    if message_size < 0 or backlog < 0:
-        raise ValueError(f"message_size {message_size} and backlog {backlog} must be >= 0")
+    _count("message_size", message_size)
+    _count("backlog", backlog)
     rate = link.rate(unit)
     propagation = link.length / link.propagation_speed
     transmission = message_size / rate
@@ -136,10 +143,12 @@ def energy_estimate(
     available bandwidth (relative to the model's reference bandwidth); the
     compute term is linear in instructions.
     """
-    if symbols_sent < 0 or instructions < 0:
-        raise ValueError(f"symbols_sent {symbols_sent} and instructions {instructions} must be >= 0")
+    _count("symbols_sent", symbols_sent)
+    _count("instructions", instructions)
     if available_bandwidth <= 0:
         raise ZeroBandwidthError(f"available bandwidth must be > 0, got {available_bandwidth}")
+    if not math.isfinite(available_bandwidth):
+        raise ValueError(f"available bandwidth must be finite, got {available_bandwidth}")
     tx = model.per_bit_tx * symbols_sent * (model.bandwidth_scaling / available_bandwidth)
     return tx + model.per_instruction * instructions
 

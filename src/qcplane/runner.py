@@ -54,19 +54,14 @@ def run_balancing(cfg: ScenarioConfig) -> list[BalanceOutcome]:
     """
     classical = classical_loads(cfg.topology)
     quantum = quantum_loads(cfg.topology)
-    demands = {
-        "leaf": LinkLoad(cbits=classical.leaf_link_load, qubits=quantum.leaf_link_load),
-        "mid": LinkLoad(cbits=classical.mid_link_load, qubits=quantum.mid_link_load),
-    }
     outcomes = []
-    for link in ("leaf", "mid"):
-        if link not in cfg.ledgers:
-            continue
-        ledger = cfg.ledgers[link]
-        plan = balance_link(demands[link], ledger)
-        outcomes.append(
-            BalanceOutcome(link, demands[link], plan, ledger.ebits - plan.ebits_consumed)
-        )
+    for link, demand, ledger in (
+        ("leaf", LinkLoad(classical.leaf_link_load, quantum.leaf_link_load), cfg.ledgers.leaf),
+        ("mid", LinkLoad(classical.mid_link_load, quantum.mid_link_load), cfg.ledgers.mid),
+    ):
+        if ledger is not None:
+            plan = balance_link(demand, ledger)
+            outcomes.append(BalanceOutcome(link, demand, plan, ledger.ebits - plan.ebits_consumed))
     return outcomes
 
 

@@ -318,9 +318,19 @@ def measure_sample(state: QuantumState, shots: int, seed: int) -> OutcomeHistogr
     return OutcomeHistogram(SparseCounts(idx[ends], counts), shots)
 
 
+def _observable(observable: ArrayLike) -> np.ndarray:
+    """observable as a 1-D float64 array whose entries are all finite."""
+    obs = np.asarray(observable, dtype=np.float64).reshape(-1)
+    finite = np.isfinite(obs)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise ValueError(f"observable entries must be finite; entry {bad} is {obs[bad]}")
+    return obs
+
+
 def expectation(state: QuantumState, observable: ArrayLike) -> float:
     """Exact mean of a diagonal observable: sum_i amp_i**2 * observable[i]."""
-    obs = np.asarray(observable, dtype=np.float64).reshape(-1)
+    obs = _observable(observable)
     if obs.size != state.dim:
         raise DimensionMismatchError(
             f"observable has {obs.size} entries, state needs {state.dim}"
@@ -353,7 +363,7 @@ def estimate_expectation(
     cdf = _unit(vec, scale, norm)
     np.cumsum(np.square(cdf, out=cdf), out=cdf)
     dim = cdf.size
-    obs = np.asarray(observable, dtype=np.float64).reshape(-1)
+    obs = _observable(observable)
     if obs.size == vec.size and obs.size != dim:
         obs = np.concatenate([obs, np.zeros(dim - obs.size)])
     if obs.size != dim:

@@ -214,6 +214,26 @@ def test_tier_links_hold_a_link_spec_per_tier():
     assert str(exc_info.value) == "mid: must be a LinkSpec, got None"
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize(
+    "name,call",
+    [
+        ("message_size", lambda v: link_latency(v, make_link())),
+        ("backlog", lambda v: link_latency(1, make_link(), backlog=v)),
+        ("symbols_sent", lambda v: energy_estimate(v, 1, 1e9, make_energy())),
+        ("instructions", lambda v: energy_estimate(1, v, 1e9, make_energy())),
+        ("available bandwidth", lambda v: energy_estimate(1, 1, v, make_energy())),
+    ],
+    ids=["message_size", "backlog", "symbols_sent", "instructions", "available_bandwidth"],
+)
+def test_non_finite_amounts_rejected(name, call, value):
+    expected = ZeroBandwidthError if name == "available bandwidth" and value < 0 else ValueError
+    with pytest.raises(expected) as exc_info:
+        call(value)
+    assert str(exc_info.value).startswith(f"{name} must be ")
+    assert str(exc_info.value).endswith(f", got {value}")
+
+
 def test_energy_model_rejects_negative_fields():
     with pytest.raises(ValueError):
         make_energy(per_bit_tx=-1e-9)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from qcplane.config import (
     ScenarioConfig,
     SweepSpec,
+    TierLedgers,
     load_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -55,7 +56,7 @@ def test_python_built_scenario_replays_to_identical_files():
         links=TierLinks(leaf=LinkSpec(1000, 1000, 200, per_message_processing=1),
                         mid=LinkSpec(10000, 10000, 2000, propagation_speed=200000000)),
         energy=EnergyModel(1, 0, 2, 1000),
-        ledgers={"leaf": ResourceLedger(100, 400, 8)},
+        ledgers=TierLedgers(leaf=ResourceLedger(100, 400, 8)),
         sweep=SweepSpec("K", (2, 4)),
         seed=3,
         mode="both",
@@ -123,8 +124,9 @@ def scenario_dicts(draw):
         "seed": draw(st.integers(-2**63, 2**63)),
         "mode": draw(st.sampled_from(["classical", "quantum", "both"])),
     }
+    # No ledgers key, `"ledgers": {}`, or ledgers on any subset of the links.
     links = draw(st.lists(st.sampled_from(["leaf", "mid"]), max_size=2, unique=True))
-    if links:
+    if links or draw(st.booleans()):
         data["ledgers"] = {link: draw(_ledger()) for link in links}
     if draw(st.booleans()):
         data["sweep"] = {
@@ -146,6 +148,7 @@ def _strict_json(text):
 def test_generated_scenarios_round_trip_and_replay(data):
     cfg = scenario_from_dict(data)
     recorded = scenario_to_dict(cfg)
+    assert ("ledgers" in recorded) == bool(data.get("ledgers"))
     assert scenario_from_dict(recorded) == cfg
     files = build_report_files(cfg)
     report = _strict_json(files["report.json"])

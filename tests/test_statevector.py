@@ -229,6 +229,18 @@ class TestEstimateExpectation:
         with pytest.raises(DimensionMismatchError):
             estimate_expectation([1, 1, 1], [0, 1], shots=10, seed=0)
 
+    @pytest.mark.parametrize(
+        "observable, entry",
+        [([np.inf, 0, 0, 0], "entry 0 is inf"), ([0, 1, np.nan, -np.inf], "entry 2 is nan")],
+        ids=["inf", "nan"],
+    )
+    def test_non_finite_observable_rejected(self, observable, entry):
+        message = f"observable entries must be finite; {entry}"
+        with pytest.raises(ValueError, match=message):
+            estimate_expectation([1, 1, 1, 1], observable, shots=10, seed=1)
+        with pytest.raises(ValueError, match=message):
+            expectation(amplitude_encode([1, 1, 1, 1]), observable)
+
     def test_std_error_shrinks_with_shots(self):
         # 50 replicates: the spread ratio between 1e2 and 1e4 shots should
         # sit near sqrt(1e4/1e2) = 10.
