@@ -12,7 +12,7 @@ _EXPORTS = {
     "exchange": ("InfeasibleError", "LinkLoad", "ResourceLedger", "TransferPlan", "balance_link"),
     "netsim": (
         "CollectionResult", "EnergyModel", "LatencyBreakdown", "LinkSpec", "TierLinks",
-        "ZeroBandwidthError", "energy_estimate", "link_latency", "simulate_collection",
+        "energy_estimate", "link_latency", "simulate_collection",
     ),
     "qram": ("AddressBranch", "JoinedState", "WeightMode", "address_marginal", "join_from_raw", "qram_join"),
     "scaling": (

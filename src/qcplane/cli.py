@@ -5,9 +5,13 @@ Subcommands: encode, join, scale, simulate, balance, selftest, run. Every
 subcommand accepts --output; all but `run`, which writes every report
 file, accept --format csv|json, and only `run` takes --seed, which it
 records in report.json in place of the scenario's seed. Outputs are
-deterministic for fixed inputs. Exit codes: 0 success, 2 parse error,
-3 validation error (diagnostic names the first invalid field or vector
-entry), 4 I/O error, 5 infeasible balance.
+deterministic for fixed inputs. Exit codes, each with the error class that
+`main` maps to it: 0 success; 2 `config.ParseError`, an input that is not
+well-formed (argparse also exits 2 on a bad command line); 3 ValueError,
+either `scaling.FieldError` (printed as "invalid field" and its dotted
+path) or another, such as a vector that cannot be encoded or a result
+that is not finite (the diagnostic names the value); 4 OSError;
+5 `exchange.InfeasibleError`. `selftest` exits 1 when a check fails.
 
 When QCPLANE_OUTPUT_DIR is set, relative --output paths resolve under it
 and it becomes the default report directory for `run`.
@@ -27,7 +31,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import runner
-from .config import ScenarioParseError, load_scenario
+from .config import ParseError, load_scenario
 from .exchange import InfeasibleError, LinkLoad, ResourceLedger, balance_link
 from .netsim import simulate_collection
 from .reporting import csv_text, json_text, table_csv, write_atomic
@@ -44,19 +48,15 @@ EXIT_IO = 4
 EXIT_INFEASIBLE = 5
 
 
-class InputParseError(ValueError):
-    """A vector input file could not be parsed."""
-
-
 def _entry(where: str, value) -> float:
     """One vector entry as a finite float; `where` names its file and place."""
     if isinstance(value, str):
         try:
             number = float(value)
         except ValueError:
-            raise InputParseError(f"{where}: not a number: {value!r}") from None
+            raise ParseError(f"{where}: not a number: {value!r}") from None
     elif isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputParseError(f"{where}: not a number: {value!r}")
+        raise ParseError(f"{where}: not a number: {value!r}")
     else:
         try:
             number = float(value)
@@ -82,11 +82,11 @@ def read_vectors(path: Path, many: bool) -> list[list[float]]:
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
-            raise InputParseError(f"{path}: {exc}") from exc
+            raise ParseError(f"{path}: {exc}") from exc
         if not many:
             return [[_entry(f"{path}[{j}]", v) for j, v in enumerate(data)]]
         if not all(isinstance(row, list) for row in data):
-            raise InputParseError(f"{path}: expected a JSON array of arrays")
+            raise ParseError(f"{path}: expected a JSON array of arrays")
         return [
             [_entry(f"{path}[{i}][{j}]", v) for j, v in enumerate(row)]
             for i, row in enumerate(data)
@@ -178,23 +178,23 @@ def _sweep_values(args) -> list[int]:
         try:
             values = [int(tok) for tok in args.values.split(",")]
         except ValueError as exc:
-            raise InputParseError(f"--values must be comma-separated integers: {exc}") from exc
+            raise ParseError(f"--values must be comma-separated integers: {exc}") from exc
         for value in values:
             if value < 1:
-                raise InputParseError(f"--values must be >= 1, got {value}")
+                raise ParseError(f"--values must be >= 1, got {value}")
         return values
     if args.start is None or args.stop is None:
-        raise InputParseError("provide either --values or both --from and --to")
+        raise ParseError("provide either --values or both --from and --to")
     if args.start < 1:
-        raise InputParseError(f"--from must be >= 1, got {args.start}")
+        raise ParseError(f"--from must be >= 1, got {args.start}")
     if args.factor < 2:
-        raise InputParseError("--factor must be >= 2")
+        raise ParseError(f"--factor must be >= 2, got {args.factor}")
     values, v = [], args.start
     while v <= args.stop:
         values.append(v)
         v *= args.factor
     if not values:
-        raise InputParseError("--from/--to/--factor yield an empty sweep")
+        raise ParseError("--from/--to/--factor yield an empty sweep")
     return values
 
 
@@ -360,12 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ScenarioParseError, InputParseError) as exc:
+    except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except FieldError as exc:
-        print(f"error: invalid field {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except InfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -373,7 +370,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        kind = "invalid field " if isinstance(exc, FieldError) else ""
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

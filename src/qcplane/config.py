@@ -20,11 +20,13 @@ the defaults of each section are the fields of `ScenarioConfig`,
 `TopologySpec`, `TierLinks`/`LinkSpec`, `EnergyModel`,
 `TierLedgers`/`ResourceLedger` and `SweepSpec`. Each holds its own fields to
 their contract in `__post_init__`, whether it is built here or in Python,
-and raises `FieldError` (a ValueError, alias `ScenarioValidationError`)
-naming the field. `_section` reads a file in one recursive walk over them:
-it rejects unknown keys and puts the dotted path in front of the field, so
-a bad file always produces the same diagnostic. `scenario_to_dict` leaves
-an absent section (no sweep, no ledger on any link) out.
+and raises `scaling.FieldError` naming the field. `_section` reads a file
+in one recursive walk over them: it rejects unknown keys and puts the
+dotted path in front of the field, so a bad file always produces the same
+diagnostic. A file that is not JSON, or whose value is not an object,
+raises `ParseError`, the error that the CLI also raises for a malformed
+vector file or sweep. `scenario_to_dict` leaves an absent section (no
+sweep, no ledger on any link) out.
 
 The `seed` is recorded in report.json for provenance. The accounting is
 exact and draws nothing at random, so no other report byte depends on it.
@@ -41,12 +43,11 @@ from .scaling import FieldError, TopologySpec, check_fields, instance, normalize
 
 MODES = ("classical", "quantum", "both")
 
-# A scenario field violates its contract; `field` is its dotted path.
-ScenarioValidationError = FieldError
 
-
-class ScenarioParseError(ValueError):
-    """The scenario file is not well-formed JSON (or not an object)."""
+class ParseError(ValueError):
+    """An input is not well-formed: a scenario or vector file that is not
+    JSON or not of the expected shape, a vector entry that is not a number,
+    or a malformed `scale` sweep."""
 
 
 def _sweep_field(name: str, value):
@@ -153,7 +154,7 @@ def _section(cls, obj, path: str):
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Validate a parsed scenario object, reporting the first bad field."""
     if not isinstance(data, dict):
-        raise ScenarioParseError("scenario must be a JSON object")
+        raise ParseError("scenario must be a JSON object")
     return _section(ScenarioConfig, data, "")
 
 
@@ -182,12 +183,12 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Read and validate a scenario file.
 
-    Raises OSError for unreadable paths, ScenarioParseError for malformed
-    JSON, ScenarioValidationError for contract violations.
+    Raises OSError for unreadable paths, ParseError for malformed JSON or a
+    value that is not an object, FieldError for contract violations.
     """
     text = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ScenarioParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{path}: {exc}") from exc
     return scenario_from_dict(data)

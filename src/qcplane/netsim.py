@@ -32,10 +32,6 @@ from .scaling import (
 )
 
 
-class ZeroBandwidthError(ValueError):
-    """Energy estimate requested with no available bandwidth."""
-
-
 @dataclass(frozen=True)
 class LinkSpec:
     """One link tier: symbol rates, span, and per-message processing time."""
@@ -122,13 +118,14 @@ def link_latency(
     transmission = message_size / rate
     queuing = backlog / rate
     processing = link.per_message_processing
-    return LatencyBreakdown(
-        propagation=propagation,
-        transmission=transmission,
-        queuing=queuing,
-        processing=processing,
-        total=propagation + transmission + queuing + processing,
-    )
+    total = propagation + transmission + queuing + processing
+    if not math.isfinite(total):
+        raise ValueError(
+            f"link latency is {total}: propagation + transmission + queuing + processing = "
+            f"{link.length} / {link.propagation_speed} + {message_size} / {rate} + {backlog} / {rate}"
+            f" + {processing}"
+        )
+    return LatencyBreakdown(propagation, transmission, queuing, processing, total)
 
 
 def energy_estimate(
@@ -146,11 +143,18 @@ def energy_estimate(
     _count("symbols_sent", symbols_sent)
     _count("instructions", instructions)
     if available_bandwidth <= 0:
-        raise ZeroBandwidthError(f"available bandwidth must be > 0, got {available_bandwidth}")
+        raise ValueError(f"available bandwidth must be > 0, got {available_bandwidth}")
     if not math.isfinite(available_bandwidth):
         raise ValueError(f"available bandwidth must be finite, got {available_bandwidth}")
     tx = model.per_bit_tx * symbols_sent * (model.bandwidth_scaling / available_bandwidth)
-    return tx + model.per_instruction * instructions
+    joules = tx + model.per_instruction * instructions
+    if not math.isfinite(joules):
+        raise ValueError(
+            f"energy is {joules}: per_bit_tx * symbols_sent * (bandwidth_scaling / available bandwidth)"
+            f" + per_instruction * instructions = {model.per_bit_tx} * {symbols_sent} * "
+            f"({model.bandwidth_scaling} / {available_bandwidth}) + {model.per_instruction} * {instructions}"
+        )
+    return joules
 
 
 def round_latency(
@@ -174,7 +178,10 @@ def round_latency(
         backlog=(fan_in_mid - 1) * loads.mid_link_load,
         unit=loads.unit,
     )
-    return {"leaf": leaf, "mid": mid}, leaf.total + mid.total
+    end_to_end = leaf.total + mid.total
+    if not math.isfinite(end_to_end):
+        raise ValueError(f"end-to-end latency is {end_to_end}: leaf + mid = {leaf.total} + {mid.total}")
+    return {"leaf": leaf, "mid": mid}, end_to_end
 
 
 def simulate_collection(

@@ -18,25 +18,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .scaling import qubits_for_parameters
-from .statevector import ArrayLike, EmptyVectorError, QuantumState, amplitude_encode
+from .statevector import ArrayLike, QuantumState, amplitude_encode
 
 BRANCH_PROB_FLOOR = 1e-12
-
-
-class MixedDimensionsError(ValueError):
-    """Join inputs disagree on their qubit count or vector length."""
-
-
-class NonPositiveWeightError(ValueError):
-    """A branch weight is zero, negative, or not finite."""
-
-
-class AddressOutOfRangeError(IndexError):
-    """Address index outside [0, num_sources)."""
-
-
-class EmptyBranchError(ValueError):
-    """Requested address branch carries (numerically) no probability."""
 
 
 class WeightMode(Enum):
@@ -56,9 +40,7 @@ class JoinedState:
     def __post_init__(self):
         expected = self.data_qubits + qubits_for_parameters(self.num_sources)
         if self.state.num_qubits != expected:
-            raise MixedDimensionsError(
-                f"joined state has {self.state.num_qubits} qubits, expected {expected}"
-            )
+            raise ValueError(f"joined state has {self.state.num_qubits} qubits, expected {expected}")
 
     @property
     def address_qubits(self) -> int:
@@ -85,19 +67,21 @@ def qram_join(
         raise ValueError("need at least one state to join")
     k = len(states)
     m = states[0].num_qubits
-    if any(s.num_qubits != m for s in states):
-        raise MixedDimensionsError("all joined states must have equal qubit count")
+    for i, s in enumerate(states):
+        if s.num_qubits != m:
+            raise ValueError(f"all joined states must have equal qubit count; "
+                             f"state {i} has {s.num_qubits}, state 0 has {m}")
 
     if mode is WeightMode.UNIFORM or weights is None:
         w = np.ones(k)
     else:
         w = np.asarray(weights, dtype=np.float64)
         if w.shape != (k,):
-            raise MixedDimensionsError(f"got {w.size} weights for {k} states")
+            raise ValueError(f"got {w.size} weights for {k} states")
         bad = np.flatnonzero(~((w > 0.0) & (w < np.inf)))
         if bad.size:
             i = bad[0]
-            raise NonPositiveWeightError(f"weights must be positive and finite; weight {i} is {w[i]}")
+            raise ValueError(f"weights must be positive and finite; weight {i} is {w[i]}")
     betas = amplitude_encode(w).amplitudes[:k]
 
     address_qubits = qubits_for_parameters(k)
@@ -120,10 +104,12 @@ def join_from_raw(vectors: Sequence[ArrayLike]) -> JoinedState:
         raise ValueError("need at least one vector to join")
     arrays = [np.asarray(v, dtype=np.float64).reshape(-1) for v in vectors]
     n = arrays[0].size
-    if any(a.size != n for a in arrays):
-        raise MixedDimensionsError("all joined vectors must have equal length")
+    for i, a in enumerate(arrays):
+        if a.size != n:
+            raise ValueError(f"all joined vectors must have equal length; "
+                             f"vector {i} has {a.size}, vector 0 has {n}")
     if n == 0:
-        raise EmptyVectorError("cannot encode an empty vector")
+        raise ValueError("cannot encode an empty vector")
     k, m = len(arrays), qubits_for_parameters(n)
     block = np.zeros((k, 1 << m))
     block[:, :n] = arrays
@@ -133,13 +119,11 @@ def join_from_raw(vectors: Sequence[ArrayLike]) -> JoinedState:
 def address_marginal(joined: JoinedState, k: int) -> AddressBranch:
     """Probability of address k and the renormalized state on that branch."""
     if not 0 <= k < joined.num_sources:
-        raise AddressOutOfRangeError(
-            f"address {k} outside [0, {joined.num_sources})"
-        )
+        raise IndexError(f"address {k} outside [0, {joined.num_sources})")
     block = 1 << joined.data_qubits
     branch = joined.state.amplitudes[k * block : (k + 1) * block]
     probability = float(np.sum(np.square(branch)))
     if probability < BRANCH_PROB_FLOOR:
-        raise EmptyBranchError(f"address branch {k} has probability < {BRANCH_PROB_FLOOR}")
+        raise ValueError(f"address branch {k} has probability {probability}, below {BRANCH_PROB_FLOOR}")
     conditional = QuantumState._adopt(branch / np.sqrt(probability))
     return AddressBranch(probability, conditional)

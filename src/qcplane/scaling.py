@@ -20,14 +20,6 @@ from types import MappingProxyType
 from typing import Callable, Iterable
 
 
-class DegenerateEncodingError(ValueError):
-    """Break-even undefined: one parameter encodes into zero qubits."""
-
-
-class UnknownParameterError(ValueError):
-    """Sweep over a name that is not one of N, K, P, R."""
-
-
 class FieldError(ValueError):
     """A dataclass field violates its contract; `field` names it (as a dotted
     path when it was read from a scenario file) and `message` says how."""
@@ -200,9 +192,7 @@ def break_even_shots(t: TopologySpec) -> int:
     zero qubits wide and any R wins.
     """
     if t.params_per_switch == 1:
-        raise DegenerateEncodingError(
-            "params_per_switch=1 encodes into 0 qubits; break-even is unbounded"
-        )
+        raise ValueError("params_per_switch=1 encodes into 0 qubits; break-even is unbounded")
     leaf_bits = t.params_per_switch * t.bits_per_param
     return leaf_bits // qubits_for_parameters(t.params_per_switch)
 
@@ -233,7 +223,7 @@ def normalize_sweep_parameter(name: str) -> str:
     for short, field in _SWEEP_FIELDS.items():
         if lower == field:
             return short
-    raise UnknownParameterError(f"cannot sweep over {name!r}; pick one of N, K, P, R")
+    raise ValueError(f"cannot sweep over {name!r}; pick one of N, K, P, R")
 
 
 def scaling_table(

@@ -42,22 +42,6 @@ NORM_ATOL = 1e-10
 ArrayLike = Sequence[float] | np.ndarray
 
 
-class EmptyVectorError(ValueError):
-    """Encoding requested for a zero-length vector."""
-
-
-class ZeroVectorError(ValueError):
-    """Encoding requested for a vector with zero Euclidean norm."""
-
-
-class DimensionMismatchError(ValueError):
-    """Operands do not share a compatible dimension."""
-
-
-class ShotsTooFewError(ValueError):
-    """Fewer shots than the estimator can produce a spread from."""
-
-
 class QuantumState:
     """Immutable real unit vector over the 2**num_qubits computational basis."""
 
@@ -85,7 +69,7 @@ class QuantumState:
 
     def _own(self, amps: np.ndarray) -> None:
         if amps.size == 0:
-            raise EmptyVectorError("state needs at least one amplitude")
+            raise ValueError("state needs at least one amplitude")
         m = int(amps.size - 1).bit_length()
         if amps.size != 1 << m:
             raise ValueError(
@@ -237,7 +221,7 @@ def _real_vector(values: ArrayLike) -> tuple[np.ndarray, float, float]:
     """
     vec = np.asarray(values, dtype=np.float64).reshape(-1)
     if vec.size == 0:
-        raise EmptyVectorError("cannot encode an empty vector")
+        raise ValueError("cannot encode an empty vector")
     with np.errstate(over="ignore", invalid="ignore"):
         squares = float(vec.dot(vec))
     if sys.float_info.min <= squares < math.inf:
@@ -256,7 +240,7 @@ def _unit(vec: np.ndarray, scale: float, norm: float) -> np.ndarray:
     """vec divided by its norm, scale * norm, and zero-padded to the next
     power of two, as a fresh float64 array."""
     if norm == 0.0:
-        raise ZeroVectorError("cannot encode a zero vector")
+        raise ValueError("cannot encode a zero vector")
     unit = np.zeros(1 << qubits_for_parameters(vec.size))
     np.divide(vec if scale == 1.0 else vec / scale, norm, out=unit[: vec.size])
     return unit
@@ -332,9 +316,7 @@ def expectation(state: QuantumState, observable: ArrayLike) -> float:
     """Exact mean of a diagonal observable: sum_i amp_i**2 * observable[i]."""
     obs = _observable(observable)
     if obs.size != state.dim:
-        raise DimensionMismatchError(
-            f"observable has {obs.size} entries, state needs {state.dim}"
-        )
+        raise ValueError(f"observable has {obs.size} entries, state needs {state.dim}")
     return float(np.dot(state.probabilities(), obs))
 
 
@@ -357,7 +339,7 @@ def estimate_expectation(
     alongside the data) or at the padded power-of-two length.
     """
     if shots < 2:
-        raise ShotsTooFewError(f"need at least 2 shots for a spread estimate, got {shots}")
+        raise ValueError(f"need at least 2 shots for a spread estimate, got {shots}")
     vec, scale, norm = _real_vector(source)
     # The encoded state's CDF, without building the state.
     cdf = _unit(vec, scale, norm)
@@ -367,13 +349,21 @@ def estimate_expectation(
     if obs.size == vec.size and obs.size != dim:
         obs = np.concatenate([obs, np.zeros(dim - obs.size)])
     if obs.size != dim:
-        raise DimensionMismatchError(
-            f"observable has {obs.size} entries, want {vec.size} or {dim}"
-        )
+        raise ValueError(f"observable has {obs.size} entries, want {vec.size} or {dim}")
     idx = _sorted_outcomes(cdf, shots, seed)
     del cdf
     samples = obs[idx]
-    estimate = float(np.mean(samples))
-    std_error = float(np.std(samples, ddof=1) / math.sqrt(shots))
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimate, spread = float(np.mean(samples)), float(np.std(samples, ddof=1))
+    std_error = spread / math.sqrt(shots)
+    if not (math.isfinite(estimate) and math.isfinite(std_error)):
+        # A sum left the float range. Redo both on the samples scaled by a
+        # power of two that brings max|sample| below 1, which rounds only
+        # samples too small to show beside it, and scale back: neither
+        # result exceeds max|sample|, so both are finite.
+        exponent = math.frexp(float(np.max(np.abs(samples))))[1]
+        scaled = np.ldexp(samples, -exponent)
+        estimate = math.ldexp(float(np.mean(scaled)), exponent)
+        std_error = math.ldexp(float(np.std(scaled, ddof=1)) / math.sqrt(shots), exponent)
     return EstimateResult(estimate, std_error, shots * (dim.bit_length() - 1))
 

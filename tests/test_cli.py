@@ -61,8 +61,8 @@ class TestEncode:
     def test_zero_vector_exits_3(self, tmp_path, capsys):
         vec = tmp_path / "vec.json"
         vec.write_text("[0, 0]")
-        code, _, err = run_cli(capsys, "encode", "--input", str(vec))
-        assert code == 3
+        code, out, err = run_cli(capsys, "encode", "--input", str(vec))
+        assert (code, out, err) == (3, "", "error: cannot encode a zero vector\n")
 
     def test_missing_file_exits_4(self, tmp_path, capsys):
         code, _, _ = run_cli(capsys, "encode", "--input", str(tmp_path / "absent.json"))
@@ -112,8 +112,9 @@ class TestJoin:
     def test_mixed_lengths_exit_3(self, tmp_path, capsys):
         vecs = tmp_path / "vectors.json"
         vecs.write_text("[[1, 0], [1, 2, 3]]")
-        code, _, _ = run_cli(capsys, "join", "--input", str(vecs))
-        assert code == 3
+        code, out, err = run_cli(capsys, "join", "--input", str(vecs))
+        err_want = "error: all joined vectors must have equal length; vector 1 has 3, vector 0 has 2\n"
+        assert (code, out, err) == (3, "", err_want)
 
 
 @pytest.mark.parametrize("command,text,want", [
@@ -239,6 +240,10 @@ class TestScale:
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr == f"error: {flag} must be >= 1, got {value}\n"
+
+    def test_factor_below_two_exits_2_naming_it(self, capsys):
+        code, out, err = run_cli(capsys, "scale", "--sweep", "K", "--from", "1", "--to", "8", "--factor", "1")
+        assert (code, out, err) == (2, "", "error: --factor must be >= 2, got 1\n")
 
     def test_byte_identical_output(self, tmp_path, capsys):
         argv = ["scale", "--sweep", "P", "--values", "2,64,2000"]
@@ -483,6 +488,48 @@ def test_non_finite_scenario_values_exit_3(tmp_path, capsys, field, token, comma
     code, out, err = run_cli(capsys, *argv, "--output", str(outdir))
     assert code == 3
     assert ".".join(field) in err and token in err
+    assert not outdir.exists()
+
+
+OVERFLOWS = {
+    "nan-energy": (
+        {("energy", "per_bit_tx"): 0, ("energy", "bandwidth_scaling"): 1e300,
+         ("links", "mid", "capacity"): 1e-10, ("links", "mid", "q_capacity"): 1e-10},
+        "energy is nan: per_bit_tx * symbols_sent * (bandwidth_scaling / available bandwidth)"
+        " + per_instruction * instructions = 0.0 * 1024 * (1e+300 / 1e-10) + 1e-10 * 2048.0",
+    ),
+    "inf-latency": (
+        {("links", "leaf", "capacity"): 1e-306},
+        "link latency is inf: propagation + transmission + queuing + processing ="
+        " 5000.0 / 200000000.0 + 64 / 1e-306 + 192 / 1e-306 + 1e-05",
+    ),
+    "inf-end-to-end": (
+        {("links", "leaf", "capacity"): 2e-306, ("links", "mid", "capacity"): 1e-305},
+        "end-to-end latency is inf: leaf + mid = 1.28e+308 + 1.024e+308",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERFLOWS))
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--config"], ["simulate", "--format", "json", "--config"], ["run"]],
+    ids=["simulate-csv", "simulate-json", "run"],
+)
+def test_finite_scenario_whose_figures_overflow_exits_3(tmp_path, capsys, case, argv):
+    # Every value is finite and valid, but a latency or the energy is not.
+    changes, message = OVERFLOWS[case]
+    data = json.loads(DESK_EXAMPLE.read_text())
+    for path, value in changes.items():
+        obj = data
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+    scenario = tmp_path / "overflow.json"
+    scenario.write_text(json.dumps(data))
+    outdir = tmp_path / "reports"
+    code, out, err = run_cli(capsys, *argv, str(scenario), "--output", str(outdir))
+    assert (code, out, err) == (3, "", f"error: {message}\n")
     assert not outdir.exists()
 
 

@@ -5,9 +5,8 @@ from pathlib import Path
 import pytest
 
 from qcplane.config import (
+    ParseError,
     ScenarioConfig,
-    ScenarioParseError,
-    ScenarioValidationError,
     SweepSpec,
     TierLedgers,
     load_scenario,
@@ -16,7 +15,7 @@ from qcplane.config import (
 )
 from qcplane.exchange import ResourceLedger
 from qcplane.netsim import LinkSpec, TierLinks
-from qcplane.scaling import TopologySpec, schema
+from qcplane.scaling import FieldError, TopologySpec, schema
 
 REPO = Path(__file__).resolve().parent.parent
 PAPER_EXAMPLE = REPO / "scenarios" / "paper_example.json"
@@ -97,7 +96,7 @@ class TestValidation:
     def test_first_invalid_field_is_named(self, mutate, message):
         data = minimal_scenario()
         mutate(data)
-        with pytest.raises(ScenarioValidationError) as exc_info:
+        with pytest.raises(FieldError) as exc_info:
             scenario_from_dict(data)
         assert str(exc_info.value) == message
         assert exc_info.value.field == message.split(": ")[0]
@@ -114,7 +113,7 @@ class TestValidation:
         for key in section.split("."):
             obj = obj[key]
         obj[field] = value
-        with pytest.raises(ScenarioValidationError) as exc_info:
+        with pytest.raises(FieldError) as exc_info:
             scenario_from_dict(data)
         assert exc_info.value.field == f"{section}.{field}"
         assert json.dumps(value) in str(exc_info.value)
@@ -138,13 +137,13 @@ class TestValidation:
         data["sweep"] = {"parameter": "K", "values": [1, 2]}
         obj, key = place(data)
         obj[key] = value
-        with pytest.raises(ScenarioValidationError) as exc_info:
+        with pytest.raises(FieldError) as exc_info:
             scenario_from_dict(data)
         assert exc_info.value.field == where
         assert str(exc_info.value).endswith(f", got {json.dumps(value)}")
 
     def test_non_finite_section_is_shown_as_its_json_token(self):
-        with pytest.raises(ScenarioValidationError) as exc_info:
+        with pytest.raises(FieldError) as exc_info:
             TierLinks(leaf=math.inf, mid=LinkSpec(1.0, 1.0, 1.0))
         assert str(exc_info.value) == "leaf: must be a LinkSpec, got Infinity"
 
@@ -156,31 +155,31 @@ class TestValidation:
         assert f'"per_instruction": {token}' in text
         bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")
-        with pytest.raises(ScenarioValidationError) as exc_info:
+        with pytest.raises(FieldError) as exc_info:
             load_scenario(bad)
         assert exc_info.value.field == "energy.per_instruction"
 
     def test_ledger_validation(self):
         data = minimal_scenario()
         data["ledgers"] = {"leaf": {"ebits": -1, "classical_capacity": 2, "quantum_capacity": 2}}
-        with pytest.raises(ScenarioValidationError) as exc_info:
+        with pytest.raises(FieldError) as exc_info:
             scenario_from_dict(data)
         assert exc_info.value.field == "ledgers.leaf.ebits"
 
     def test_sweep_validation(self):
         data = minimal_scenario()
         data["sweep"] = {"parameter": "Z", "values": [1]}
-        with pytest.raises(ScenarioValidationError) as exc_info:
+        with pytest.raises(FieldError) as exc_info:
             scenario_from_dict(data)
         assert exc_info.value.field == "sweep.parameter"
         data["sweep"] = {"parameter": "K", "values": [2, 0]}
-        with pytest.raises(ScenarioValidationError) as exc_info:
+        with pytest.raises(FieldError) as exc_info:
             scenario_from_dict(data)
         assert exc_info.value.field == "sweep.values[1]"
 
     def test_sweep_built_in_python_is_held_to_the_same_contract(self):
         assert SweepSpec("switches_per_controller", [2, 4]) == SweepSpec("K", (2, 4))
-        with pytest.raises(ScenarioValidationError) as exc_info:
+        with pytest.raises(FieldError) as exc_info:
             SweepSpec("K", [2, True])
         assert str(exc_info.value) == "values[1]: must be an integer >= 1, got True"
 
@@ -206,7 +205,7 @@ class TestValidation:
         # Each of these would build reports whose recorded scenario the file
         # reader refuses with the same message.
         given = vars(load_scenario(DESK_EXAMPLE))
-        with pytest.raises(ScenarioValidationError) as exc_info:
+        with pytest.raises(FieldError) as exc_info:
             given = {**given, **change()}
             ScenarioConfig(**{name: value for name, value in given.items() if value is not ABSENT})
         assert str(exc_info.value) == message
@@ -218,11 +217,11 @@ class TestValidation:
     def test_malformed_json_is_parse_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ScenarioParseError):
+        with pytest.raises(ParseError):
             load_scenario(bad)
 
     def test_non_object_json_is_parse_error(self):
-        with pytest.raises(ScenarioParseError):
+        with pytest.raises(ParseError):
             scenario_from_dict([1, 2, 3])
 
     def test_missing_file_is_oserror(self, tmp_path):
