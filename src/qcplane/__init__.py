@@ -21,7 +21,7 @@ _EXPORTS = {
     ),
     "statevector": (
         "EstimateResult", "OutcomeHistogram", "QuantumState", "SparseCounts", "amplitude_encode",
-        "estimate_expectation", "expectation", "measure_sample",
+        "estimate_expectation", "measure_sample",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

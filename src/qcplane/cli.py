@@ -3,15 +3,15 @@ Command-line front end.
 
 Subcommands: encode, join, scale, simulate, balance, selftest, run. Every
 subcommand accepts --output; all but `run`, which writes every report
-file, accept --format csv|json, and only `run` takes --seed, which it
-records in report.json in place of the scenario's seed. Outputs are
-deterministic for fixed inputs. Exit codes, each with the error class that
-`main` maps to it: 0 success; 2 `config.ParseError`, an input that is not
-well-formed (argparse also exits 2 on a bad command line); 3 ValueError,
-either `scaling.FieldError` (printed as "invalid field" and its dotted
-path) or another, such as a vector that cannot be encoded or a result
-that is not finite (the diagnostic names the value); 4 OSError;
-5 `exchange.InfeasibleError`. `selftest` exits 1 when a check fails.
+file, accept --format csv|json. Outputs are deterministic for fixed
+inputs: `run` depends on nothing but its scenario file. Exit codes, each
+with the error class that `main` maps to it: 0 success; 2
+`config.ParseError`, an input that is not well-formed (argparse also
+exits 2 on a bad command line); 3 ValueError, either `scaling.FieldError`
+(printed as "invalid field" and its dotted path) or another, such as a
+vector that cannot be encoded or a result that is not finite (the
+diagnostic names the value); 4 OSError; 5 `exchange.InfeasibleError`.
+`selftest` exits 1 when a check fails.
 
 When QCPLANE_OUTPUT_DIR is set, relative --output paths resolve under it
 and it becomes the default report directory for `run`.
@@ -26,7 +26,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -269,8 +268,6 @@ def cmd_selftest(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = load_scenario(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
     outdir = resolve_output(args.output)
     if outdir is None:
         outdir = Path(os.environ.get("QCPLANE_OUTPUT_DIR", "reports"))
@@ -349,7 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a full scenario and write report files")
     p.add_argument("config", help="scenario JSON file")
-    p.add_argument("--seed", type=int, default=None, help="seed recorded in the reports")
     p.add_argument("--output", default=None, help="report directory (default: reports)")
     p.set_defaults(handler=cmd_run)
 

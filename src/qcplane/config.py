@@ -28,8 +28,9 @@ raises `ParseError`, the error that the CLI also raises for a malformed
 vector file or sweep. `scenario_to_dict` leaves an absent section (no
 sweep, no ledger on any link) out.
 
-The `seed` is recorded in report.json for provenance. The accounting is
-exact and draws nothing at random, so no other report byte depends on it.
+The `seed` is recorded for provenance, once: as `seed` in report.json's
+`scenario`. The accounting is exact and draws nothing at random, so no
+other report byte depends on it.
 """
 from __future__ import annotations
 

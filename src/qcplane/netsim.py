@@ -164,24 +164,22 @@ def round_latency(
 
     With synchronized arrivals the last message at each hop queues behind
     fan_in - 1 peers, so the worst leaf message plus the worst mid message
-    bound the round.
+    bound the round. A tier's error starts with the tier's name.
     """
-    leaf = link_latency(
-        loads.leaf_link_load,
-        links.leaf,
-        backlog=(fan_in_leaf - 1) * loads.leaf_link_load,
-        unit=loads.unit,
-    )
-    mid = link_latency(
-        loads.mid_link_load,
-        links.mid,
-        backlog=(fan_in_mid - 1) * loads.mid_link_load,
-        unit=loads.unit,
-    )
-    end_to_end = leaf.total + mid.total
+    tiers = {}
+    for tier, load, link, fan_in in (
+        ("leaf", loads.leaf_link_load, links.leaf, fan_in_leaf),
+        ("mid", loads.mid_link_load, links.mid, fan_in_mid),
+    ):
+        try:
+            tiers[tier] = link_latency(load, link, backlog=(fan_in - 1) * load, unit=loads.unit)
+        except ValueError as exc:
+            raise ValueError(f"{tier} {exc}") from exc
+    leaf, mid = tiers["leaf"].total, tiers["mid"].total
+    end_to_end = leaf + mid
     if not math.isfinite(end_to_end):
-        raise ValueError(f"end-to-end latency is {end_to_end}: leaf + mid = {leaf.total} + {mid.total}")
-    return {"leaf": leaf, "mid": mid}, end_to_end
+        raise ValueError(f"end-to-end latency is {end_to_end}: leaf + mid = {leaf} + {mid}")
+    return tiers, end_to_end
 
 
 def simulate_collection(
@@ -195,14 +193,17 @@ def simulate_collection(
     The energy charge uses the hypervisor's total ingest, a derived
     instruction count (instructions_per_bit_processed per ingested
     symbol), and the mid-tier rate for the active symbol kind as the
-    available bandwidth.
+    available bandwidth. A latency error starts with the mode's name.
     """
     if mode not in ("classical", "quantum"):
         raise ValueError(f"mode must be 'classical' or 'quantum', got {mode!r}")
     loads = classical_loads(topology) if mode == "classical" else quantum_loads(topology)
-    tier_latency, end_to_end = round_latency(
-        loads, links, topology.switches_per_controller, topology.num_controllers
-    )
+    try:
+        tier_latency, end_to_end = round_latency(
+            loads, links, topology.switches_per_controller, topology.num_controllers
+        )
+    except ValueError as exc:
+        raise ValueError(f"{mode} {exc}") from exc
     instructions = energy.instructions_per_bit_processed * loads.hypervisor_ingest
     bandwidth = links.mid.rate(loads.unit)
     return CollectionResult(

@@ -7,8 +7,10 @@ written in one direct pass over the report: the bytes of
 `json.dumps(obj, indent=2, sort_keys=True)`, except that an infinite value
 is written as the string "inf" or "-inf", like its CSV cell. NaN is
 refused, and every key must be a string. A report file is written to a
-temporary name in the target directory and renamed into place, so readers
-never see a half-written report and a failed run leaves nothing behind.
+temporary name in the target directory and renamed into place, so it is
+either old or new, never partial, and a failed write removes the temporary
+file. Files are replaced one at a time: a write error can leave the files
+written before it replaced.
 """
 from __future__ import annotations
 

@@ -2,10 +2,12 @@
 Scenario execution and the built-in arithmetic selftest.
 
 run_scenario computes everything first (loads, latency, energy, balancing,
-optional sweep) and only then writes report files, each atomically, so an
-error of any kind leaves the output directory untouched. Identical
-(config, seed) pairs produce byte-identical reports: nothing here reads
-clocks, hostnames, or unseeded randomness.
+optional sweep) and only then writes report files, so an error before
+writing leaves the output directory untouched. Each file is written
+atomically and ends up either old or new, never partial; a write error
+can leave the files written before it replaced. Identical scenarios
+produce byte-identical reports: nothing here reads clocks, hostnames, or
+unseeded randomness.
 
 Every report row is built once, as a record (a dict in column order) taken
 from the dataclass it reports: a table's CSV header and cells are the
@@ -36,33 +38,32 @@ def modes_for(mode: str) -> tuple[str, ...]:
     return ("classical", "quantum") if mode == "both" else (mode,)
 
 
-@dataclass(frozen=True)
-class BalanceOutcome:
-    link: str
-    demand: LinkLoad
-    plan: TransferPlan
-    ebits_remaining: int
-
-
-def run_balancing(cfg: ScenarioConfig) -> list[BalanceOutcome]:
-    """Balance each configured link against its hybrid round demand.
+def run_balancing(cfg: ScenarioConfig) -> list[dict]:
+    """The balance.csv records: each configured link balanced against its
+    hybrid round demand.
 
     Demand per link is the classical bit load and the quantum qubit load
     that one round places on it, independent of the scenario's reporting
     mode (a balanced link carries both planes). The scenario's ledgers are
-    left as given; each outcome records the stock its plan leaves.
+    left as given; each record's ebits_remaining is the stock its plan
+    leaves.
     """
     classical = classical_loads(cfg.topology)
     quantum = quantum_loads(cfg.topology)
-    outcomes = []
+    records = []
     for link, demand, ledger in (
         ("leaf", LinkLoad(classical.leaf_link_load, quantum.leaf_link_load), cfg.ledgers.leaf),
         ("mid", LinkLoad(classical.mid_link_load, quantum.mid_link_load), cfg.ledgers.mid),
     ):
         if ledger is not None:
             plan = balance_link(demand, ledger)
-            outcomes.append(BalanceOutcome(link, demand, plan, ledger.ebits - plan.ebits_consumed))
-    return outcomes
+            records.append({
+                "link": link,
+                "cbits_demand": demand.cbits,
+                "qubits_demand": demand.qubits,
+                **plan_record(plan, ledger.ebits - plan.ebits_consumed),
+            })
+    return records
 
 
 def result_record(result: CollectionResult) -> dict:
@@ -104,15 +105,6 @@ def plan_record(plan: TransferPlan, ebits_remaining: int | None = None) -> dict:
     return record
 
 
-def balance_record(outcome: BalanceOutcome) -> dict:
-    return {
-        "link": outcome.link,
-        "cbits_demand": outcome.demand.cbits,
-        "qubits_demand": outcome.demand.qubits,
-        **plan_record(outcome.plan, outcome.ebits_remaining),
-    }
-
-
 # report.json nests these balance.csv columns: group -> {key: column}.
 BALANCE_GROUPS = {
     "demand": {"cbits": "cbits_demand", "qubits": "qubits_demand"},
@@ -135,7 +127,7 @@ def build_report_files(cfg: ScenarioConfig) -> dict[str, str]:
         for mode in modes_for(cfg.mode)
     ]
     records = {r.mode: result_record(r) for r in results}
-    balance = [balance_record(o) for o in run_balancing(cfg)]
+    balance = run_balancing(cfg)
     sweep = (
         [vars(row) for row in scaling_table(cfg.topology, cfg.sweep.parameter, cfg.sweep.values)]
         if cfg.sweep is not None
@@ -160,7 +152,6 @@ def build_report_files(cfg: ScenarioConfig) -> dict[str, str]:
         files["sweep.csv"] = reporting.table_csv(sweep)
     report = {
         "scenario": scenario_to_dict(cfg),
-        "seed": cfg.seed,
         "results": records,
         "balance": {record["link"]: balance_json(record) for record in balance},
         "sweep": sweep,

@@ -312,14 +312,6 @@ def _observable(observable: ArrayLike) -> np.ndarray:
     return obs
 
 
-def expectation(state: QuantumState, observable: ArrayLike) -> float:
-    """Exact mean of a diagonal observable: sum_i amp_i**2 * observable[i]."""
-    obs = _observable(observable)
-    if obs.size != state.dim:
-        raise ValueError(f"observable has {obs.size} entries, state needs {state.dim}")
-    return float(np.dot(state.probabilities(), obs))
-
-
 def estimate_expectation(
     source: ArrayLike,
     observable: ArrayLike,

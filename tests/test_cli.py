@@ -181,6 +181,18 @@ def test_non_finite_vector_entry_exits_3_naming_it(tmp_path, capsys, command, na
     assert err == f"error: {path}{where}: vector entries must be finite, got {shown}\n"
 
 
+@pytest.mark.parametrize("command,text,message", [
+    ("encode", "[1, 2", "{path}: Expecting ',' delimiter: line 1 column 6 (char 5)"),
+    ("encode", "[1, null]", "{path}[1]: not a number: None"),
+    ("join", "[[1], 2]", "{path}: expected a JSON array of arrays"),
+], ids=["not-json", "null-entry", "row-not-an-array"])
+def test_malformed_vector_file_exits_2_naming_it(tmp_path, capsys, command, text, message):
+    path = tmp_path / "vectors.json"
+    path.write_text(text)
+    want = (2, "", f"error: {message.format(path=path)}\n")
+    assert run_cli(capsys, command, "--input", str(path)) == want
+
+
 class TestScale:
     def test_geometric_sweep_matches_library(self, capsys):
         code, out, _ = run_cli(
@@ -240,6 +252,14 @@ class TestScale:
         assert proc.returncode == 2, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr == f"error: {flag} must be >= 1, got {value}\n"
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--values", "2,x"],
+         "--values must be comma-separated integers: invalid literal for int() with base 10: 'x'"),
+        (["--from", "16", "--to", "8"], "--from/--to/--factor yield an empty sweep"),
+    ], ids=["values-not-integers", "empty-range"])
+    def test_malformed_sweep_exits_2(self, capsys, flags, message):
+        assert run_cli(capsys, "scale", "--sweep", "K", *flags) == (2, "", f"error: {message}\n")
 
     def test_factor_below_two_exits_2_naming_it(self, capsys):
         code, out, err = run_cli(capsys, "scale", "--sweep", "K", "--from", "1", "--to", "8", "--factor", "1")
@@ -342,7 +362,8 @@ class TestRun:
         assert loads[2] == "quantum,11,11264,21,21504,31,qubits"
         report = json.loads((outdir / "report.json").read_text())
         assert report["results"]["quantum"]["loads"]["hypervisor_state_size"] == 31
-        assert report["seed"] == 7
+        assert report["scenario"]["seed"] == 7
+        assert "seed" not in report
         assert set(report["balance"]) == {"leaf", "mid"}
 
     def test_byte_identical_reports(self, tmp_path, capsys):
@@ -397,6 +418,23 @@ class TestRun:
         code, _, _ = run_cli(capsys, "run", str(PAPER_EXAMPLE), "--output", "nested/rep")
         assert code == 0
         assert (tmp_path / "nested" / "rep" / "loads.csv").exists()
+
+    def test_write_error_leaves_the_files_replaced_before_it_whole(self, tmp_path, capsys):
+        # Files are replaced one at a time in name order: a directory where
+        # latency.csv goes stops the run after balance.csv and energy.csv,
+        # and loads.csv keeps its old bytes.
+        outdir = tmp_path / "rep"
+        (outdir / "latency.csv").mkdir(parents=True)
+        (outdir / "balance.csv").write_text("old\n")
+        (outdir / "loads.csv").write_text("old\n")
+        code, out, err = run_cli(capsys, "run", str(DESK_EXAMPLE), "--output", str(outdir))
+        assert (code, out, err) == (4, "", f"error: [Errno 21] Is a directory: '{outdir / 'latency.csv'}'\n")
+        names = ["balance.csv", "energy.csv", "latency.csv", "loads.csv"]
+        assert sorted(p.name for p in outdir.iterdir()) == names
+        golden = REPO / "tests" / "golden" / "run-desk"
+        for name in ("balance.csv", "energy.csv"):
+            assert (outdir / name).read_bytes() == (golden / name).read_bytes()
+        assert (outdir / "loads.csv").read_text() == "old\n"
 
     def test_no_temp_files_left_behind(self, tmp_path, capsys):
         outdir = tmp_path / "rep"
@@ -500,12 +538,17 @@ OVERFLOWS = {
     ),
     "inf-latency": (
         {("links", "leaf", "capacity"): 1e-306},
-        "link latency is inf: propagation + transmission + queuing + processing ="
+        "classical leaf link latency is inf: propagation + transmission + queuing + processing ="
         " 5000.0 / 200000000.0 + 64 / 1e-306 + 192 / 1e-306 + 1e-05",
+    ),
+    "inf-quantum-mid-latency": (
+        {("links", "mid", "q_capacity"): 1e-307},
+        "quantum mid link latency is inf: propagation + transmission + queuing + processing ="
+        " 50000.0 / 200000000.0 + 10 / 1e-307 + 30 / 1e-307 + 1e-05",
     ),
     "inf-end-to-end": (
         {("links", "leaf", "capacity"): 2e-306, ("links", "mid", "capacity"): 1e-305},
-        "end-to-end latency is inf: leaf + mid = 1.28e+308 + 1.024e+308",
+        "classical end-to-end latency is inf: leaf + mid = 1.28e+308 + 1.024e+308",
     ),
 }
 
@@ -538,6 +581,7 @@ def test_finite_scenario_whose_figures_overflow_exits_3(tmp_path, capsys, case, 
     ["scale", "--sweep", "K", "--values", "2", "--seed", "5"],
     ["simulate", "--config", str(DESK_EXAMPLE), "--seed", "5"],
     ["run", str(DESK_EXAMPLE), "--format", "json"],
+    ["run", str(DESK_EXAMPLE), "--seed", "5"],
 ], ids=lambda argv: f"{argv[0]}-{argv[-2]}")
 def test_flags_that_change_nothing_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as exc:

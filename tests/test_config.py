@@ -183,6 +183,15 @@ class TestValidation:
             SweepSpec("K", [2, True])
         assert str(exc_info.value) == "values[1]: must be an integer >= 1, got True"
 
+    @pytest.mark.parametrize("args, field, message", [
+        ((3, [2]), "parameter", "must be a string"),
+        (("K", []), "values", "must be a non-empty list"),
+    ], ids=["parameter-not-a-string", "no-values"])
+    def test_sweep_of_the_wrong_shape_names_its_field(self, args, field, message):
+        with pytest.raises(FieldError) as exc_info:
+            SweepSpec(*args)
+        assert (exc_info.value.field, str(exc_info.value)) == (field, f"{field}: {message}")
+
     @pytest.mark.parametrize(
         "change,message",
         [

@@ -74,7 +74,6 @@ CASES = {
     "selftest-text": ["selftest"],
     "run-paper": ["run", PAPER, "--output", OUT],
     "run-desk": ["run", DESK, "--output", OUT],
-    "run-desk-seed": ["run", DESK, "--output", OUT, "--seed", "11"],
 }
 
 

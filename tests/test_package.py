@@ -28,7 +28,7 @@ EXPORTS = {
     ],
     "statevector": [
         "EstimateResult", "OutcomeHistogram", "QuantumState", "SparseCounts", "amplitude_encode",
-        "estimate_expectation", "expectation", "measure_sample",
+        "estimate_expectation", "measure_sample",
     ],
 }
 NAMES = sorted(name for names in EXPORTS.values() for name in names)

@@ -40,6 +40,15 @@ def vector_sets(draw):
 
 
 class TestQramJoin:
+    def test_no_states_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one state to join$"):
+            qram_join([])
+
+    def test_weight_count_must_match_the_states(self):
+        states = [amplitude_encode([1, 0]), amplitude_encode([0, 1])]
+        with pytest.raises(ValueError, match="^got 1 weights for 2 states$"):
+            qram_join(states, weights=[1.0])
+
     def test_single_source_join_is_identity(self):
         state = amplitude_encode([3, 4])
         joined = qram_join([state], mode=WeightMode.UNIFORM)
@@ -173,6 +182,10 @@ class TestJoinFromRaw:
     def test_empty_vectors_rejected(self):
         with pytest.raises(ValueError, match="^cannot encode an empty vector$"):
             join_from_raw([[], []])
+
+    def test_no_vectors_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one vector to join$"):
+            join_from_raw([])
 
 
     @pytest.mark.parametrize(

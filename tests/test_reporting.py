@@ -156,6 +156,16 @@ class TestWriteAtomic:
         write_atomic(target, "data\n")
         assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
 
+    def test_failed_write_keeps_the_old_bytes_and_removes_the_temp(self, tmp_path):
+        # A lone surrogate cannot be encoded as UTF-8, so the write fails
+        # after the temporary file exists.
+        target = tmp_path / "report.csv"
+        target.write_text("old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_atomic(target, "new\ud800\n")
+        assert target.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
     @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
     def test_new_and_replaced_files_get_the_umask_mode(self, tmp_path, umask):
         target = tmp_path / "report.json"

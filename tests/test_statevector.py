@@ -15,7 +15,6 @@ from qcplane.statevector import (
     _draw_indices,
     amplitude_encode,
     estimate_expectation,
-    expectation,
     measure_sample,
 )
 
@@ -63,6 +62,14 @@ class TestAmplitudeEncode:
         with pytest.raises(ValueError, match="^cannot encode a zero vector$"):
             amplitude_encode([0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "values, entry", [([1.0, math.nan], "entry 1 is nan"), ([math.inf, 1.0], "entry 0 is inf")],
+        ids=["nan", "inf"],
+    )
+    def test_non_finite_entry_rejected_naming_it(self, values, entry):
+        with pytest.raises(ValueError, match=f"^vector entries must be finite; {entry}$"):
+            amplitude_encode(values)
+
     @given(vectors)
     def test_encoded_state_is_normalized(self, v):
         state = amplitude_encode(v)
@@ -82,6 +89,10 @@ class TestAmplitudeEncode:
 
 
 class TestQuantumStateInvariants:
+    def test_empty_amplitudes_rejected(self):
+        with pytest.raises(ValueError, match="^state needs at least one amplitude$"):
+            QuantumState([])
+
     def test_non_power_of_two_length_rejected(self):
         with pytest.raises(ValueError):
             QuantumState([1.0, 0.0, 0.0])
@@ -180,23 +191,6 @@ def test_measurement_frequencies_match_probabilities_within_4_sigma():
                 assert abs(freq - p) <= 4 * sigma
 
 
-class TestExpectation:
-    def test_basis_state(self):
-        assert expectation(basis_state(0, 1), [5, -5]) == 5
-
-    def test_uniform_superposition(self):
-        assert expectation(amplitude_encode([1, 1]), [0, 1]) == pytest.approx(0.5, abs=1e-15)
-
-    def test_weighted_observable(self):
-        # Direct arithmetic oracle: 0.6^2 * 1 + 0.8^2 * 2.
-        want = 0.6**2 * 1 + 0.8**2 * 2
-        assert expectation(amplitude_encode([3, 4]), [1, 2]) == pytest.approx(want, abs=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="^observable has 2 entries, state needs 4$"):
-            expectation(basis_state(0, 2), [1, 2])
-
-
 class TestEstimateExpectation:
     def test_qubits_sent_counts_fresh_encodings(self):
         # 2000-dim source: 11 qubits per round, 100 rounds.
@@ -235,8 +229,6 @@ class TestEstimateExpectation:
         message = f"observable entries must be finite; {entry}"
         with pytest.raises(ValueError, match=message):
             estimate_expectation([1, 1, 1, 1], observable, shots=10, seed=1)
-        with pytest.raises(ValueError, match=message):
-            expectation(amplitude_encode([1, 1, 1, 1]), observable)
 
     def test_std_error_shrinks_with_shots(self):
         # 50 replicates: the spread ratio between 1e2 and 1e4 shots should
