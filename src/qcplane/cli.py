@@ -9,12 +9,13 @@ with the error class that `main` maps to it: 0 success; 2
 `config.ParseError`, an input that is not well-formed (argparse also
 exits 2 on a bad command line); 3 ValueError, either `scaling.FieldError`
 (printed as "invalid field" and its dotted path) or another, such as a
-vector that cannot be encoded or a result that is not finite (the
-diagnostic names the value); 4 OSError; 5 `exchange.InfeasibleError`.
+vector that cannot be encoded, a result that is not finite or an integer
+too large for a float (the diagnostic names the value); 4 OSError; 5
+`exchange.InfeasibleError`.
 `selftest` exits 1 when a check fails.
 
-When QCPLANE_OUTPUT_DIR is set, relative --output paths resolve under it
-and it becomes the default report directory for `run`.
+When QCPLANE_OUTPUT_DIR is set and not empty, relative --output paths
+resolve under it and it becomes the default report directory for `run`.
 
 Only `encode` and `join` import the statevector layer, and with it numpy,
 when they run; the accounting subcommands never load numpy.
@@ -251,26 +252,17 @@ def cmd_balance(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    checks = runner.selftest_checks()
-    records = [
-        {"check": c.name, "status": "PASS" if c.passed else "FAIL", "detail": c.detail}
-        for c in checks
-    ]
-    if args.format == "json":
-        text = json_text(records)
-    elif args.format == "csv":
-        text = table_csv(records)
-    else:
-        text = runner.selftest_text(checks)
+    records = runner.selftest_checks()
+    text = {"json": json_text, "csv": table_csv}.get(args.format, runner.selftest_text)(records)
     emit(text, resolve_output(args.output))
-    return EXIT_OK if all(c.passed for c in checks) else 1
+    return EXIT_OK if all(r["status"] == "PASS" for r in records) else 1
 
 
 def cmd_run(args) -> int:
     cfg = load_scenario(args.config)
     outdir = resolve_output(args.output)
     if outdir is None:
-        outdir = Path(os.environ.get("QCPLANE_OUTPUT_DIR", "reports"))
+        outdir = Path(os.environ.get("QCPLANE_OUTPUT_DIR") or "reports")
     written = runner.run_scenario(cfg, outdir)
     for path in written:
         sys.stdout.write(f"{path}\n")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .scaling import check_fields, integer
+from .scaling import check_fields, integer, quotient
 
 
 class InfeasibleError(RuntimeError):
@@ -73,8 +73,8 @@ def _plan(load: LinkLoad, ledger: ResourceLedger, x: int, y: int) -> TransferPla
     place where the conversion rates are applied."""
     resulting = LinkLoad(load.cbits + 2 * x - 2 * y, load.qubits - x + y)
     utilization = (
-        resulting.cbits / ledger.classical_capacity,
-        resulting.qubits / ledger.quantum_capacity,
+        quotient("utilization_classical", resulting.cbits, ledger.classical_capacity),
+        quotient("utilization_quantum", resulting.qubits, ledger.quantum_capacity),
     )
     return TransferPlan(
         qubits_teleported=x,

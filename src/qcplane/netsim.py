@@ -94,10 +94,16 @@ class CollectionResult:
     available_bandwidth: float
 
 
-def _count(name: str, value: float) -> None:
-    """Refuse a symbol or instruction count that is negative or not finite."""
-    if not 0 <= value < math.inf:
+def _count(name: str, value: float) -> float:
+    """`value` as a float; a symbol or instruction count that is negative, not
+    finite or an int too large for a float is refused."""
+    try:
+        count = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+    if not 0 <= count < math.inf:
         raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    return count
 
 
 def link_latency(
@@ -193,25 +199,28 @@ def simulate_collection(
     The energy charge uses the hypervisor's total ingest, a derived
     instruction count (instructions_per_bit_processed per ingested
     symbol), and the mid-tier rate for the active symbol kind as the
-    available bandwidth. A latency error starts with the mode's name.
+    available bandwidth. A latency or energy error starts with the mode's
+    name.
     """
     if mode not in ("classical", "quantum"):
         raise ValueError(f"mode must be 'classical' or 'quantum', got {mode!r}")
     loads = classical_loads(topology) if mode == "classical" else quantum_loads(topology)
+    bandwidth = links.mid.rate(loads.unit)
     try:
         tier_latency, end_to_end = round_latency(
             loads, links, topology.switches_per_controller, topology.num_controllers
         )
+        ingest = _count("hypervisor_ingest", loads.hypervisor_ingest)
+        instructions = energy.instructions_per_bit_processed * ingest
+        joules = energy_estimate(loads.hypervisor_ingest, instructions, bandwidth, energy)
     except ValueError as exc:
         raise ValueError(f"{mode} {exc}") from exc
-    instructions = energy.instructions_per_bit_processed * loads.hypervisor_ingest
-    bandwidth = links.mid.rate(loads.unit)
     return CollectionResult(
         mode=mode,
         loads=loads,
         tier_latency=tier_latency,
         end_to_end=end_to_end,
-        energy=energy_estimate(loads.hypervisor_ingest, instructions, bandwidth, energy),
+        energy=joules,
         instructions=instructions,
         available_bandwidth=bandwidth,
     )

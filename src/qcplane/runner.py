@@ -13,11 +13,12 @@ Every report row is built once, as a record (a dict in column order) taken
 from the dataclass it reports: a table's CSV header and cells are the
 records' keys and values, and report.json holds the same records (the
 balance columns grouped as BALANCE_GROUPS lists). The `simulate`,
-`balance` and `scale` commands print the same records.
+`balance` and `scale` commands print the same records, and the selftest
+is one list of records that `selftest` prints as text, CSV or JSON.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
 
 from . import reporting
@@ -172,62 +173,18 @@ def run_scenario(cfg: ScenarioConfig, outdir: str | Path) -> list[Path]:
     return written
 
 
-@dataclass(frozen=True)
-class SelftestCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-def _reference_topology(shots: int = 1) -> TopologySpec:
-    return TopologySpec(
-        num_controllers=1024,
-        switches_per_controller=1024,
-        params_per_switch=2000,
-        bits_per_param=1,
-        shots=shots,
-    )
-
-
-def selftest_checks() -> list[SelftestCheck]:
-    """The headline collection-round arithmetic; all checks are exact."""
-    checks = []
-
-    width = qubits_for_parameters(2000)
-    checks.append(
-        SelftestCheck(
-            "parameter_encoding_width",
-            width == 11,
-            f"2000 parameters encode into {width} qubits (expected 11)",
-        )
-    )
-
-    q = quantum_loads(_reference_topology())
-    checks.append(
-        SelftestCheck(
-            "hypervisor_state_width",
-            q.hypervisor_state_size == 31,
-            f"joined state at the hypervisor occupies {q.hypervisor_state_size} qubits (expected 31)",
-        )
-    )
-
-    c = classical_loads(_reference_topology())
+def selftest_checks() -> list[dict]:
+    """The selftest rows, one {check, status, detail} record per check of the
+    headline collection-round arithmetic; all checks are exact."""
+    t = TopologySpec(num_controllers=1024, switches_per_controller=1024, params_per_switch=2000)
+    width = qubits_for_parameters(t.params_per_switch)
+    q, c, q100 = quantum_loads(t), classical_loads(t), quantum_loads(replace(t, shots=100))
     totals_ok = (
         q.controller_ingest == 11 * 1024
         and q.hypervisor_ingest == 21 * 1024
         and c.mid_link_load == 2000 * 1024
         and c.hypervisor_ingest == 2000 * 1024 * 1024
     )
-    checks.append(
-        SelftestCheck(
-            "round_transfer_totals",
-            totals_ok,
-            f"quantum {q.controller_ingest}+{q.hypervisor_ingest} qubits (expected 11264+21504); "
-            f"classical {c.mid_link_load}+{c.hypervisor_ingest} bits (expected 2048000+2097152000)",
-        )
-    )
-
-    q100 = quantum_loads(_reference_topology(shots=100))
     repetition_ok = (
         q100.leaf_link_load == 100 * q.leaf_link_load
         and q100.controller_ingest == 100 * q.controller_ingest
@@ -235,34 +192,32 @@ def selftest_checks() -> list[SelftestCheck]:
         and q100.hypervisor_ingest == 100 * q.hypervisor_ingest
         and q100.hypervisor_state_size == q.hypervisor_state_size
     )
-    checks.append(
-        SelftestCheck(
-            "repetition_scaling",
-            repetition_ok,
-            f"100 rounds multiply every transfer count by 100; state stays {q100.hypervisor_state_size} qubits",
-        )
-    )
-
-    t = _reference_topology()
     be = break_even_shots(t)
-    width = qubits_for_parameters(t.params_per_switch)
     leaf_bits = t.params_per_switch * t.bits_per_param
     scan_max = max(r for r in range(1, leaf_bits + 1) if width * r <= leaf_bits)
-    checks.append(
-        SelftestCheck(
-            "leaf_break_even",
-            be == 181 and scan_max == be,
-            f"largest R with {width}*R <= {leaf_bits} is {be} (expected 181; "
-            "approx 200 when rounded to the nearest hundred)",
-        )
+    checks = (
+        ("parameter_encoding_width", width == 11,
+         f"2000 parameters encode into {width} qubits (expected 11)"),
+        ("hypervisor_state_width", q.hypervisor_state_size == 31,
+         f"joined state at the hypervisor occupies {q.hypervisor_state_size} qubits (expected 31)"),
+        ("round_transfer_totals", totals_ok,
+         f"quantum {q.controller_ingest}+{q.hypervisor_ingest} qubits (expected 11264+21504); "
+         f"classical {c.mid_link_load}+{c.hypervisor_ingest} bits (expected 2048000+2097152000)"),
+        ("repetition_scaling", repetition_ok,
+         f"100 rounds multiply every transfer count by 100; state stays {q100.hypervisor_state_size} qubits"),
+        ("leaf_break_even", be == 181 and scan_max == be,
+         f"largest R with {width}*R <= {leaf_bits} is {be} (expected 181; "
+         "approx 200 when rounded to the nearest hundred)"),
     )
-    return checks
-
-
-def selftest_text(checks: list[SelftestCheck]) -> str:
-    lines = [
-        f"[{'PASS' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in checks
+    return [
+        {"check": name, "status": "PASS" if passed else "FAIL", "detail": detail}
+        for name, passed, detail in checks
     ]
-    verdict = "PASS" if all(c.passed for c in checks) else "FAIL"
-    lines.append(f"selftest: {verdict} ({sum(c.passed for c in checks)}/{len(checks)} checks)")
+
+
+def selftest_text(records: list[dict]) -> str:
+    lines = [f"[{r['status']}] {r['check']}: {r['detail']}" for r in records]
+    passed = sum(r["status"] == "PASS" for r in records)
+    verdict = "PASS" if passed == len(records) else "FAIL"
+    lines.append(f"selftest: {verdict} ({passed}/{len(records)} checks)")
     return "\n".join(lines) + "\n"

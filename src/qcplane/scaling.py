@@ -70,6 +70,16 @@ def number(value, positive: bool) -> float:
     return result
 
 
+def quotient(name: str, numerator: int, denominator: int) -> float:
+    """numerator / denominator as a float. Python divides ints of any size
+    exactly, but raises OverflowError when the quotient exceeds the largest
+    float; that is refused here as a ValueError naming the quotient."""
+    try:
+        return numerator / denominator
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+
+
 def instance(value, cls: type):
     """`value` if it is a `cls`."""
     if not isinstance(value, cls):
@@ -237,6 +247,6 @@ def scaling_table(
         t = replace(t_base, **{field: value})
         classical = classical_loads(t).hypervisor_ingest
         quantum = quantum_loads(t).hypervisor_ingest
-        ratio = classical / quantum if quantum > 0 else math.inf
+        ratio = quotient(f"ratio at {short} = {value}", classical, quantum) if quantum > 0 else math.inf
         rows.append(ScalingRow(short, value, classical, quantum, ratio))
     return rows

@@ -95,8 +95,10 @@ def test_05_break_even_with_scan_and_rounded_figure():
     width = qubits_for_parameters(REFERENCE.params_per_switch)
     leaf_bits = REFERENCE.params_per_switch * REFERENCE.bits_per_param
     maximal = max(r for r in range(1, leaf_bits + 1) if width * r <= leaf_bits)
-    report = selftest_text(selftest_checks())
-    ok = got == 181 and maximal == 181 and "181" in report and "200" in report
+    row = selftest_checks()[-1]
+    report = selftest_text([row])
+    ok = got == 181 and maximal == 181 and row["check"] == "leaf_break_even" and row["status"] == "PASS"
+    ok = ok and "181" in report and "200" in report
     verdict(5, "leaf break-even is 181 shots (headline figure 200)", ok)
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qcplane import runner
 from qcplane.cli import main
 from qcplane.scaling import TopologySpec, scaling_table
 
@@ -351,6 +352,20 @@ class TestSelftest:
         _, second, _ = run_cli(capsys, "selftest")
         assert first == second
 
+    def test_failing_check_exits_1_in_every_format(self, capsys, monkeypatch):
+        monkeypatch.setattr(runner, "break_even_shots", lambda t: 180)
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == 1
+        assert "[FAIL] leaf_break_even: largest R with 11*R <= 2000 is 180" in out
+        assert out.count("[PASS]") == 4
+        assert out.endswith("selftest: FAIL (4/5 checks)\n")
+        code, out, _ = run_cli(capsys, "selftest", "--format", "csv")
+        assert code == 1
+        assert out.splitlines()[5].startswith("leaf_break_even,FAIL,")
+        code, out, _ = run_cli(capsys, "selftest", "--format", "json")
+        assert code == 1
+        assert [c["status"] for c in json.loads(out)] == ["PASS"] * 4 + ["FAIL"]
+
 
 class TestRun:
     def test_paper_example_report(self, tmp_path, capsys):
@@ -418,6 +433,17 @@ class TestRun:
         code, _, _ = run_cli(capsys, "run", str(PAPER_EXAMPLE), "--output", "nested/rep")
         assert code == 0
         assert (tmp_path / "nested" / "rep" / "loads.csv").exists()
+
+    def test_empty_output_dir_env_is_unset(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QCPLANE_OUTPUT_DIR", "")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "run", str(DESK_EXAMPLE))
+        assert code == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["reports"]
+        assert out.splitlines()[0] == str(Path("reports") / "balance.csv")
+        code, _, _ = run_cli(capsys, "selftest", "--output", "self.txt")
+        assert code == 0
+        assert (tmp_path / "self.txt").exists()
 
     def test_write_error_leaves_the_files_replaced_before_it_whole(self, tmp_path, capsys):
         # Files are replaced one at a time in name order: a directory where
@@ -533,7 +559,7 @@ OVERFLOWS = {
     "nan-energy": (
         {("energy", "per_bit_tx"): 0, ("energy", "bandwidth_scaling"): 1e300,
          ("links", "mid", "capacity"): 1e-10, ("links", "mid", "q_capacity"): 1e-10},
-        "energy is nan: per_bit_tx * symbols_sent * (bandwidth_scaling / available bandwidth)"
+        "classical energy is nan: per_bit_tx * symbols_sent * (bandwidth_scaling / available bandwidth)"
         " + per_instruction * instructions = 0.0 * 1024 * (1e+300 / 1e-10) + 1e-10 * 2048.0",
     ),
     "inf-latency": (
@@ -573,6 +599,34 @@ def test_finite_scenario_whose_figures_overflow_exits_3(tmp_path, capsys, case, 
     outdir = tmp_path / "reports"
     code, out, err = run_cli(capsys, *argv, str(scenario), "--output", str(outdir))
     assert (code, out, err) == (3, "", f"error: {message}\n")
+    assert not outdir.exists()
+
+
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("argv,changes,message", [
+    (["simulate", "--config"], {"num_controllers": HUGE}, "classical mid backlog"),
+    (["run"], {"num_controllers": HUGE}, "classical mid backlog"),
+    (["simulate", "--format", "json", "--config"], {"shots": 10**309}, "quantum leaf message_size"),
+    # Both backlogs fit a float; the hypervisor's ingest of 1.8e308 bits does not.
+    (["simulate", "--config"],
+     {"num_controllers": 180, "switches_per_controller": 1, "params_per_switch": 10**306, "bits_per_param": 1},
+     "classical hypervisor_ingest"),
+    (["scale", "--sweep", "N", "--values", "1", "--p", str(HUGE)], None, "ratio at N = 1"),
+    (["balance", "--cbits", str(HUGE), "--qubits", "1", "--ebits", "1",
+      "--classical-capacity", "1", "--quantum-capacity", "1"], None, "utilization_classical"),
+], ids=["simulate-controllers", "run-controllers", "simulate-shots", "simulate-ingest", "scale", "balance"])
+def test_integer_too_large_for_a_float_exits_3(tmp_path, capsys, argv, changes, message):
+    outdir = tmp_path / "reports"
+    if changes is not None:
+        data = json.loads(DESK_EXAMPLE.read_text())
+        data["topology"].update(changes)
+        scenario = tmp_path / "huge.json"
+        scenario.write_text(json.dumps(data))
+        argv = [*argv, str(scenario), "--output", str(outdir)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (3, "", f"error: {message} is too large for a float\n")
     assert not outdir.exists()
 
 
